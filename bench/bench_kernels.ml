@@ -168,9 +168,9 @@ let run_micro () =
      [levenshtein_leq ~bound] exactly as the clustering inner loop calls
      it (cached Eq masks get reused across a strand's comparisons, as
      they are inside a clustering round);
-   - whole [Cluster.run]s differing only in [distance_backend], to show
-     the end-to-end effect with partitioning, signatures and union-find
-     around the kernel. *)
+   - whole [Cluster.run_scaled]s differing only in [distance_backend], to
+     show the end-to-end effect with partitioning, signatures and
+     union-find around the kernel. *)
 let run_cluster () =
   let n_refs = if !smoke then 6 else 120 in
   let coverage = if !smoke then 3 else 10 in
@@ -224,7 +224,7 @@ let run_cluster () =
     in
     let r = Dna.Rng.create 99 in
     let t0 = Unix.gettimeofday () in
-    let result = Clustering.Cluster.run params r (Array.copy reads) in
+    let result = Clustering.Cluster.run_scaled params r (Array.copy reads) in
     (Unix.gettimeofday () -. t0, List.length result.Clustering.Cluster.clusters)
   in
   let s_run_scalar, nc_scalar = cluster_run Dna.Distance.Scalar in
@@ -258,11 +258,9 @@ let run_cluster () =
    The end-to-end read path the packed representation exists for:
    generate a simulated read set straight to FASTQ, stream it back into
    one packed arena (bounded memory — the read set never exists as
-   boxed objects), and cluster it three ways on identical reads:
+   boxed objects), and cluster it two ways on identical reads:
 
    - packed: [Cluster.run_pool] — flat engine + packed signature index;
-   - boxed: [Cluster.run] — the per-read-boxed engine this PR replaces,
-     same kernels, so the delta is the engine and representation;
    - clover: the trie-based streaming baseline, for accuracy context.
 
    Also measured: minor-heap words allocated per read by the simulator
@@ -333,21 +331,14 @@ let run_scale () =
   let s_packed = Unix.gettimeofday () -. t0 in
   let rss_packed = Scale_stream.peak_rss_mb () in
   let acc_packed = accuracy packed in
-  (* The boxed engine and Clover read the same packed bases through
-     zero-copy views; only the engines differ. *)
-  let views = Dna.Strand_pool.to_array pool in
+  (* Clover reads the same packed bases through zero-copy views; only
+     the engines differ. *)
   let t0 = Unix.gettimeofday () in
-  let clover = Clustering.Clover.run views in
+  let clover = Clustering.Clover.run (Dna.Strand_pool.to_array pool) in
   let s_clover = Unix.gettimeofday () -. t0 in
   let acc_clover = accuracy clover in
-  let t0 = Unix.gettimeofday () in
-  let boxed = Clustering.Cluster.run params (Dna.Rng.create (!seed + 101)) views in
-  let s_boxed = Unix.gettimeofday () -. t0 in
-  let acc_boxed = accuracy boxed in
-  Printf.printf
-    "scale cluster (%d reads): packed %.2fs acc %.4f | boxed %.2fs acc %.4f (%.1fx) | clover %.2fs acc %.4f\n"
-    n_written s_packed acc_packed s_boxed acc_boxed (s_boxed /. s_packed) s_clover
-    acc_clover;
+  Printf.printf "scale cluster (%d reads): packed %.2fs acc %.4f | clover %.2fs acc %.4f\n"
+    n_written s_packed acc_packed s_clover acc_clover;
   let alloc_boxed, alloc_pooled = channel_alloc () in
   ( [
       ("scale_reads", string_of_int n_written);
@@ -357,8 +348,7 @@ let run_scale () =
       ("scale_partition_len", string_of_int params.Clustering.Cluster.partition_len);
     ],
     [
-      entry ~s:s_packed
-        ~speedup:(s_boxed /. s_packed)
+      entry ~s:s_packed ~speedup:1.0
         ~extra:
           [
             ("accuracy", acc_packed);
@@ -366,11 +356,8 @@ let run_scale () =
             ("n_reads", float_of_int n_written);
           ]
         "cluster_scale/packed";
-      entry ~s:s_boxed ~speedup:1.0
-        ~extra:[ ("accuracy", acc_boxed); ("n_reads", float_of_int n_written) ]
-        "cluster_scale/boxed";
       entry ~s:s_clover
-        ~speedup:(s_boxed /. s_clover)
+        ~speedup:(s_packed /. s_clover)
         ~extra:[ ("accuracy", acc_clover); ("n_reads", float_of_int n_written) ]
         "cluster_scale/clover";
       entry ~s:s_load ~speedup:1.0

@@ -16,7 +16,8 @@
    - reconstruct: ns per whole-cluster NW consensus at coverage 5/10/20,
      with byte-identical consensus required between backends;
    - pipeline: end-to-end [Pipeline.run] stage timings per backend, with
-     identical decoded bytes required.
+     identical decoded bytes required; the config records the banded
+     run's minor words per cluster and peak RSS.
 
    The job also fails if banded is slower than full on the 120nt align
    case (threshold 1.0, relaxed to 0.8 under --smoke where timings are
@@ -194,7 +195,10 @@ let run_reconstruct () =
     [ 5; 10; 20 ]
 
 (* Tier 3: the whole pipeline, differing only in the reconstruction
-   backend. Same seed on both runs, so the decoded bytes must match. *)
+   backend. Same seed on both runs, so the decoded bytes must match.
+   The banded (default) leg runs first so the VmHWM reading reflects
+   it alone: the counter is a process-lifetime high-water mark, and
+   this tier runs before the others. *)
 let run_pipeline () =
   let file_bytes = if !smoke then 128 else 2048 in
   let data =
@@ -203,11 +207,13 @@ let run_pipeline () =
   in
   let run backend =
     let rng = Dna.Rng.create 5 in
-    let stages = Dnastore.Pipeline.default_stages ~error_rate ~recon_backend:backend () in
-    Dnastore.Pipeline.run ~stages ~domains:1 rng data
+    let stages = Dnastore.Pipeline.default_stages ~error_rate () in
+    let pooled = Dnastore.Pipeline.default_pooled_stages ~recon_backend:backend () in
+    Dnastore.Pipeline.run ~stages ~pooled ~domains:1 rng data
   in
-  let out_full = run Dna.Alignment.Full in
   let out_banded = run Dna.Alignment.Banded in
+  let peak_rss = Scale_stream.peak_rss_mb () in
+  let out_full = run Dna.Alignment.Full in
   (match (out_full.Dnastore.Pipeline.file, out_banded.Dnastore.Pipeline.file) with
   | Some a, Some b when Bytes.equal a b -> ()
   | _ ->
@@ -229,134 +235,26 @@ let run_pipeline () =
       entry ~s:banded ~speedup:(if banded > 0.0 then full /. banded else 1.0) (name ^ "/banded");
     ]
   in
-  stage "pipeline/reconstruct_s" tf.Dnastore.Pipeline.reconstruct_s
-    tb.Dnastore.Pipeline.reconstruct_s
-  @ stage "pipeline/reconstruct_p50_s" tf.Dnastore.Pipeline.reconstruct_p50_s
+  ( stage "pipeline/reconstruct_s" tf.Dnastore.Pipeline.reconstruct_s
+      tb.Dnastore.Pipeline.reconstruct_s
+    @ stage "pipeline/reconstruct_p50_s" tf.Dnastore.Pipeline.reconstruct_p50_s
       tb.Dnastore.Pipeline.reconstruct_p50_s
   @ stage "pipeline/reconstruct_p95_s" tf.Dnastore.Pipeline.reconstruct_p95_s
       tb.Dnastore.Pipeline.reconstruct_p95_s
   @ stage "pipeline/total_s"
       (Dnastore.Pipeline.total_s tf)
-      (Dnastore.Pipeline.total_s tb)
-
-(* Tier 4: the pooled reconstruction spine against the boxed one. Both
-   legs share the channel/sequencing config and run at [~domains:1] with
-   the same seed; the boxed leg clusters through
-   [cluster_scaled_default], which is draw-for-draw identical to the
-   pooled spine's [cluster_pool_default] — so the decoded bytes must be
-   byte-identical, and any divergence fails the bench. The pooled leg
-   runs first so its VmHWM reading is not inflated by the boxed leg
-   (the counter is a process-lifetime high-water mark; the boxed
-   reading still includes the pooled leg's footprint and is reported
-   as an upper bound only).
-
-   Guards: identical decoded bytes (always); pooled allocates strictly
-   fewer minor words per cluster (always); pooled reconstruct wall not
-   slower than boxed (full run — relaxed to 2x under --smoke, where a
-   128-byte file gives timing noise, not timing). *)
-let run_spines () =
-  let file_bytes = if !smoke then 128 else 2048 in
-  let data =
-    let r = Dna.Rng.create 11 in
-    Bytes.init file_bytes (fun _ -> Char.chr (Dna.Rng.int r 256))
-  in
-  let reps = if !smoke then 1 else 3 in
-  let best runs =
-    List.fold_left
-      (fun acc (o : Dnastore.Pipeline.outcome) ->
-        match acc with
-        | Some (b : Dnastore.Pipeline.outcome)
-          when b.Dnastore.Pipeline.timings.Dnastore.Pipeline.reconstruct_s
-               <= o.Dnastore.Pipeline.timings.Dnastore.Pipeline.reconstruct_s ->
-            acc
-        | _ -> Some o)
-      None runs
-    |> Option.get
-  in
-  let run_pooled () =
-    let rng = Dna.Rng.create 5 in
-    Dnastore.Pipeline.run ~recon_pool:Dnastore.Pipeline.Pool_on ~domains:1 rng data
-  in
-  let run_boxed () =
-    let rng = Dna.Rng.create 5 in
-    let stages =
-      {
-        (Dnastore.Pipeline.default_stages ~error_rate ()) with
-        Dnastore.Pipeline.cluster = Dnastore.Pipeline.cluster_scaled_default ~domains:1 ();
-      }
-    in
-    Dnastore.Pipeline.run ~stages ~recon_pool:Dnastore.Pipeline.Pool_off ~domains:1 rng data
-  in
-  let pooled_runs = List.init reps (fun _ -> run_pooled ()) in
-  let rss_pooled = Scale_stream.peak_rss_mb () in
-  let boxed_runs = List.init reps (fun _ -> run_boxed ()) in
-  let rss_boxed = Scale_stream.peak_rss_mb () in
-  let pooled = best pooled_runs and boxed = best boxed_runs in
-  (match (pooled.Dnastore.Pipeline.file, boxed.Dnastore.Pipeline.file) with
-  | Some a, Some b when Bytes.equal a b -> ()
-  | _ ->
-      Printf.eprintf "pooled and boxed spines decoded different bytes\n";
-      exit 1);
-  let tp = pooled.Dnastore.Pipeline.timings and tb = boxed.Dnastore.Pipeline.timings in
-  let wp = pooled.Dnastore.Pipeline.reconstruct_words_per_cluster
-  and wb = boxed.Dnastore.Pipeline.reconstruct_words_per_cluster in
-  Printf.printf
-    "pipeline spines: pooled %.3fs (p50 %.2f ms, p95 %.2f ms, %.0f words/cluster)\n\
-    \                 boxed  %.3fs (p50 %.2f ms, p95 %.2f ms, %.0f words/cluster)  %.2fx, %.1fx fewer words\n"
-    tp.Dnastore.Pipeline.reconstruct_s
-    (1000.0 *. tp.Dnastore.Pipeline.reconstruct_p50_s)
-    (1000.0 *. tp.Dnastore.Pipeline.reconstruct_p95_s)
-    wp tb.Dnastore.Pipeline.reconstruct_s
-    (1000.0 *. tb.Dnastore.Pipeline.reconstruct_p50_s)
-    (1000.0 *. tb.Dnastore.Pipeline.reconstruct_p95_s)
-    wb
-    (tb.Dnastore.Pipeline.reconstruct_s /. tp.Dnastore.Pipeline.reconstruct_s)
-    (if wp > 0.0 then wb /. wp else infinity);
-  if wp >= wb then begin
-    Printf.eprintf "pooled spine did not allocate fewer words/cluster (%.0f >= %.0f)\n" wp wb;
-    exit 1
-  end;
-  let slack = if !smoke then 2.0 else 1.0 in
-  if tp.Dnastore.Pipeline.reconstruct_s > slack *. tb.Dnastore.Pipeline.reconstruct_s then begin
-    Printf.eprintf "pooled reconstruct slower than boxed (%.3fs > %.1fx * %.3fs)\n"
-      tp.Dnastore.Pipeline.reconstruct_s slack tb.Dnastore.Pipeline.reconstruct_s;
-    exit 1
-  end;
-  let stage name boxed_v pooled_v =
+      (Dnastore.Pipeline.total_s tb),
     [
-      entry ~s:boxed_v ~speedup:1.0 (name ^ "/boxed");
-      entry ~s:pooled_v
-        ~speedup:(if pooled_v > 0.0 then boxed_v /. pooled_v else 1.0)
-        (name ^ "/pooled");
-    ]
-  in
-  let entries =
-    stage "pipeline_spine/reconstruct_s" tb.Dnastore.Pipeline.reconstruct_s
-      tp.Dnastore.Pipeline.reconstruct_s
-    @ stage "pipeline_spine/reconstruct_p50_s" tb.Dnastore.Pipeline.reconstruct_p50_s
-        tp.Dnastore.Pipeline.reconstruct_p50_s
-    @ stage "pipeline_spine/reconstruct_p95_s" tb.Dnastore.Pipeline.reconstruct_p95_s
-        tp.Dnastore.Pipeline.reconstruct_p95_s
-    @ stage "pipeline_spine/total_s"
-        (Dnastore.Pipeline.total_s tb)
-        (Dnastore.Pipeline.total_s tp)
-  in
-  let extras =
-    [
-      ("pooled_words_per_cluster", Printf.sprintf "%.1f" wp);
-      ("boxed_words_per_cluster", Printf.sprintf "%.1f" wb);
-      ("pooled_peak_rss_mb", Printf.sprintf "%.1f" rss_pooled);
-      ("boxed_peak_rss_mb_upper_bound", Printf.sprintf "%.1f" rss_boxed);
-    ]
-  in
-  (entries, extras)
+      ( "words_per_cluster",
+        Printf.sprintf "%.1f" out_banded.Dnastore.Pipeline.reconstruct_words_per_cluster );
+      ("peak_rss_mb", Printf.sprintf "%.1f" peak_rss);
+    ] )
 
 let () =
   Dna.Alignment.reset_banded_fallbacks ();
-  let spine_entries, spine_extras = run_spines () in
+  let pipeline_entries, pipeline_extras = run_pipeline () in
   let align_entries, speedup_120 = run_align () in
   let recon_entries = run_reconstruct () in
-  let pipeline_entries = run_pipeline () in
   write_json
     (Filename.concat !out_dir "BENCH_recon.json")
     ~config:
@@ -366,8 +264,8 @@ let () =
          ("banded_fallbacks", string_of_int (Dna.Alignment.banded_fallbacks ()));
          ("smoke", string_of_bool !smoke);
        ]
-      @ spine_extras)
-    (align_entries @ recon_entries @ pipeline_entries @ spine_entries);
+      @ pipeline_extras)
+    (align_entries @ recon_entries @ pipeline_entries);
   let threshold = if !smoke then 0.8 else 1.0 in
   if speedup_120 < threshold then begin
     Printf.eprintf "banded slower than full on %dnt align (%.2fx < %.2fx)\n" read_len speedup_120

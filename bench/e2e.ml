@@ -30,7 +30,6 @@ let run () =
     (List.length (Dnastore.Kv_store.keys store));
   let stages =
     {
-      (Dnastore.Pipeline.default_stages ()) with
       Dnastore.Pipeline.channel = Simulator.Wetlab_channel.create ();
       sequencing = Simulator.Sequencer.default_params ~coverage:(Simulator.Sequencer.Fixed 30);
     }

@@ -37,6 +37,16 @@ let reconstruct_of = function
   | `Nw -> fun ~target_len reads -> Reconstruction.Nw_consensus.reconstruct ~target_len reads
   | `Ensemble -> fun ~target_len reads -> Reconstruction.Ensemble.reconstruct ~target_len reads
 
+(* [reconstruct_of] over arena index slices: the pipeline's stage type. *)
+let reconstruct_pool_of = function
+  | `Bma -> fun ~target_len pool idxs -> Reconstruction.Bma.reconstruct_pool ~target_len pool idxs
+  | `Dbma ->
+      fun ~target_len pool idxs -> Reconstruction.Bma.reconstruct_double_pool ~target_len pool idxs
+  | `Nw ->
+      fun ~target_len pool idxs -> Reconstruction.Nw_consensus.reconstruct_pool ~target_len pool idxs
+  | `Ensemble ->
+      fun ~target_len pool idxs -> Reconstruction.Ensemble.reconstruct_pool ~target_len pool idxs
+
 let recon_name = function
   | `Bma -> "BMA"
   | `Dbma -> "DBMA"
@@ -56,7 +66,7 @@ let cluster_auto ?(kind = Clustering.Signature.Qgram) rng reads =
   let params = Clustering.Cluster.default_params ~kind ~read_len () in
   let config = Clustering.Auto_config.configure params rng reads in
   let params = Clustering.Auto_config.apply config params in
-  (Clustering.Cluster.run params rng reads, params)
+  (Clustering.Cluster.run_scaled params rng reads, params)
 
 let pct = Dnastore.Report.pct
 let f3 = Dnastore.Report.f3

@@ -18,14 +18,15 @@ let run_config ~kind ~algo ~coverage ~file rng =
     {
       Dnastore.Pipeline.channel = Simulator.Iid_channel.create_rate ~error_rate:0.06;
       sequencing = Simulator.Sequencer.default_params ~coverage:(Simulator.Sequencer.Fixed coverage);
-      cluster =
-        (fun rng reads ->
-          let result, _ = cluster_auto ~kind rng reads in
-          Clustering.Cluster.read_clusters result reads);
-      reconstruct = reconstruct_of algo;
     }
   in
-  let out = Dnastore.Pipeline.run ~stages rng file in
+  let pooled =
+    {
+      Dnastore.Pipeline.cluster_pool = Dnastore.Pipeline.cluster_pool_default ~kind ();
+      reconstruct_pool = reconstruct_pool_of algo;
+    }
+  in
+  let out = Dnastore.Pipeline.run ~stages ~pooled rng file in
   (out.Dnastore.Pipeline.timings, out.Dnastore.Pipeline.exact)
 
 let run () =

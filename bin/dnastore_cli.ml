@@ -133,10 +133,10 @@ let make_recon = function
   | `Ensemble -> (fun ~target_len reads -> Reconstruction.Ensemble.reconstruct ~target_len reads)
   | `Trellis -> (fun ~target_len reads -> Reconstruction.Trellis.reconstruct ~target_len reads)
 
-(* Pool-native twin of [make_recon]: algorithms with an arena surface
-   use it; trellis (no pool surface yet) bridges by materializing
-   zero-copy views. *)
-let make_recon_pool = function
+(* [make_recon] over arena index slices, for the pipeline: algorithms
+   with an arena surface use it; trellis (no pool surface yet) bridges
+   by materializing zero-copy views. *)
+let make_slice_recon = function
   | `Bma -> (fun ~target_len pool idxs -> Reconstruction.Bma.reconstruct_pool ~target_len pool idxs)
   | `Dbma ->
       (fun ~target_len pool idxs ->
@@ -160,15 +160,6 @@ let recon_backend_arg =
            Dna.Alignment.Auto
        & info [ "recon-backend" ] ~docv:"KERNEL"
          ~doc:"Alignment kernel for reconstruction: $(b,auto), $(b,full) (reference matrix), or                $(b,banded) (Ukkonen band, exact via full-matrix fallback). Output is identical                for every choice.")
-
-(* The two reconstruction spines stay A/B-able from the shell: [auto]
-   is pooled wherever pool-native stages exist for the request. *)
-let recon_pool_arg =
-  Arg.(value
-       & opt (enum [ ("auto", Dnastore.Pipeline.Pool_auto); ("on", Dnastore.Pipeline.Pool_on); ("off", Dnastore.Pipeline.Pool_off) ])
-           Dnastore.Pipeline.Pool_auto
-       & info [ "recon-pool" ] ~docv:"MODE"
-         ~doc:"Reconstruction spine: $(b,on) (pool-native: one read arena, index-slice clusters,                arena-backed consensus), $(b,off) (boxed strand arrays), or $(b,auto). Consensus is                bit-identical either way.")
 
 let sig_kind_arg =
   Arg.(value & opt (enum [ ("qgram", Clustering.Signature.Qgram); ("wgram", Clustering.Signature.Wgram) ])
@@ -242,7 +233,7 @@ let cluster_cmd =
     let params = { (Clustering.Cluster.default_params ~kind ~read_len ()) with domains } in
     let config = Clustering.Auto_config.configure params rng reads in
     let params = Clustering.Auto_config.apply config params in
-    let result = Clustering.Cluster.run params rng reads in
+    let result = Clustering.Cluster.run_scaled params rng reads in
     let buf = Buffer.create 4096 in
     List.iter
       (fun members ->
@@ -333,7 +324,7 @@ let pipeline_cmd =
   let input = Arg.(required & opt (some file) None & info [ "input"; "i" ] ~docv:"FILE" ~doc:"Input file.") in
   let output = Arg.(required & opt (some string) None & info [ "output"; "o" ] ~docv:"FILE" ~doc:"Recovered file.") in
   let run input output layout payload data_cols parity channel error_rate coverage algo kind
-      recon_backend recon_pool seed domains =
+      recon_backend seed domains =
     Dna.Par.set_default_domains domains;
     Dna.Alignment.set_default_backend recon_backend;
     let params = params_of ~payload ~data_cols ~parity in
@@ -342,19 +333,17 @@ let pipeline_cmd =
       {
         Dnastore.Pipeline.channel = make_channel channel error_rate;
         sequencing = Simulator.Sequencer.default_params ~coverage:(Simulator.Sequencer.Fixed coverage);
-        cluster = Dnastore.Pipeline.cluster_default ~kind ~domains ();
-        reconstruct = make_recon algo;
       }
     in
     let pooled =
       {
         Dnastore.Pipeline.cluster_pool = Dnastore.Pipeline.cluster_pool_default ~kind ~domains ();
-        reconstruct_pool = make_recon_pool algo;
+        reconstruct_pool = make_slice_recon algo;
       }
     in
     let data = read_binary input in
     let out =
-      Dnastore.Pipeline.run ~params ~layout ~stages ~pooled ~recon_pool ~domains rng data
+      Dnastore.Pipeline.run ~params ~layout ~stages ~pooled ~domains rng data
     in
     (match out.Dnastore.Pipeline.file with
     | Some bytes -> write_binary output bytes
@@ -371,9 +360,7 @@ let pipeline_cmd =
       (Dnastore.Report.recon_percentiles ~p50_s:t.Dnastore.Pipeline.reconstruct_p50_s
          ~p95_s:t.Dnastore.Pipeline.reconstruct_p95_s);
     print_string
-      (Dnastore.Report.recon_alloc
-         ~pooled:(recon_pool <> Dnastore.Pipeline.Pool_off)
-         ~n_clusters:out.Dnastore.Pipeline.n_clusters
+      (Dnastore.Report.recon_alloc ~n_clusters:out.Dnastore.Pipeline.n_clusters
          ~words_per_cluster:out.Dnastore.Pipeline.reconstruct_words_per_cluster);
     if not out.Dnastore.Pipeline.exact then
       print_string (Dnastore.Report.recovery out.Dnastore.Pipeline.partial);
@@ -386,7 +373,7 @@ let pipeline_cmd =
   Cmd.v (Cmd.info "pipeline" ~doc:"Run the full encode-simulate-cluster-reconstruct-decode pipeline.")
     Term.(const run $ input $ output $ layout_arg $ payload_arg $ data_cols_arg $ parity_arg
           $ channel_arg $ error_rate_arg $ coverage_arg $ recon_arg $ sig_kind_arg
-          $ recon_backend_arg $ recon_pool_arg $ seed_arg $ domains)
+          $ recon_backend_arg $ seed_arg $ domains)
 
 (* fountain-encode / fountain-decode *)
 
@@ -485,7 +472,7 @@ let faults_cmd =
   let list_arg =
     Arg.(value & flag & info [ "list" ] ~doc:"List the scenario matrix and exit.")
   in
-  let run input bytes scenario_name seeds_csv list_only recon_pool domains =
+  let run input bytes scenario_name seeds_csv list_only domains =
     Dna.Par.set_default_domains domains;
     if list_only then begin
       print_string
@@ -527,9 +514,7 @@ let faults_cmd =
       let run_one scenario seed =
         let go () =
           let rng = Dna.Rng.create seed in
-          Dnastore.Pipeline.run ~recon_pool
-            ~faults:(Dnastore.Faults.plan_of_scenario ~seed scenario)
-            rng data
+          Dnastore.Pipeline.run ~faults:(Dnastore.Faults.plan_of_scenario ~seed scenario) rng data
         in
         let out = go () in
         (* Replay: the same pipeline and fault seeds must reproduce the
@@ -611,7 +596,7 @@ let faults_cmd =
   Cmd.v
     (Cmd.info "faults"
        ~doc:"Run the fault-injection scenario matrix and print a recovery report.")
-    Term.(const run $ input $ bytes_arg $ scenario_arg $ seeds_arg $ list_arg $ recon_pool_arg $ domains)
+    Term.(const run $ input $ bytes_arg $ scenario_arg $ seeds_arg $ list_arg $ domains)
 
 (* scenario: the declarative channel-stack engine. list/describe browse
    the builtin registry; run executes one (scenario, fault) cell per
@@ -941,9 +926,8 @@ let store_cmd =
               "Serve whatever survives when the object's shard is damaged or scrub marked it \
                degraded, instead of failing. Exit 2 signals a partial (non-exact) read.")
     in
-    let run dir key output domains recon_backend recon_pool degraded =
+    let run dir key output domains recon_backend degraded =
       let store = opened dir in
-      let recon_pool = recon_pool <> Dnastore.Pipeline.Pool_off in
       if degraded then begin
         let p = or_die (Store.get_partial store ~key) in
         write_binary output p.Store.bytes;
@@ -960,7 +944,7 @@ let store_cmd =
         end
       end
       else
-        match Store.get_batch ~domains ~recon_backend ~recon_pool store [ key ] with
+        match Store.get_batch ~domains ~recon_backend store [ key ] with
         | [ (_, Ok bytes) ] ->
             write_binary output bytes;
             Printf.printf "recovered %s (%d bytes)\n" key (Bytes.length bytes)
@@ -968,7 +952,7 @@ let store_cmd =
         | _ -> assert false
     in
     Cmd.v (Cmd.info "get" ~doc:"Sequence, reconstruct and decode one object.")
-      Term.(const run $ dir_arg $ key_arg $ output $ domains $ recon_backend_arg $ recon_pool_arg $ degraded)
+      Term.(const run $ dir_arg $ key_arg $ output $ domains $ recon_backend_arg $ degraded)
   in
   let rm_cmd =
     let run dir key =
@@ -1173,7 +1157,7 @@ let serve_cmd =
           ~doc:"Answer damaged gets with the surviving bytes instead of an error.")
   in
   let run dir populate ops clients read_pct window max_queue zipf seed domains deadline_s
-      degraded_reads recon_pool =
+      degraded_reads =
     let die e =
       Printf.eprintf "%s\n" (Store.error_message e);
       exit 1
@@ -1201,7 +1185,6 @@ let serve_cmd =
         Serve.domains;
         Serve.deadline_s;
         Serve.degraded_reads;
-        Serve.recon_pool = recon_pool <> Dnastore.Pipeline.Pool_off;
       }
     in
     let mix = { Serve.Workload.label = Printf.sprintf "read%.0f" (100.0 *. read_pct); Serve.Workload.read_pct } in
@@ -1218,7 +1201,7 @@ let serve_cmd =
        ~doc:"Serve a multi-client zipfian put/get/overwrite workload through the scheduler.")
     Term.(
       const run $ dir_arg $ populate $ ops $ clients $ read_pct $ window $ max_queue $ zipf $ seed
-      $ domains $ deadline $ degraded_reads $ recon_pool_arg)
+      $ domains $ deadline $ degraded_reads)
 
 let main =
   let doc = "modular end-to-end DNA data storage codec and simulator" in

@@ -35,18 +35,18 @@ let () =
     }
   in
   let channel = Simulator.Iid_channel.create_rate ~error_rate:0.06 in
-  let reads = Simulator.Sequencer.sequence sequencing channel rng droplets in
-  Printf.printf "sequenced %d reads (10%% molecule dropout)\n" (Array.length reads);
+  let reads = Dna.Strand_pool.create () in
+  ignore (Simulator.Sequencer.sequence_pool sequencing channel rng droplets ~pool:reads);
+  Printf.printf "sequenced %d reads (10%% molecule dropout)\n" (Dna.Strand_pool.length reads);
 
-  (* Cluster and reconstruct as usual. *)
-  let read_strands = Array.map (fun r -> r.Simulator.Sequencer.seq) reads in
-  let clusters = Dnastore.Pipeline.cluster_default () rng read_strands in
+  (* Cluster and reconstruct as usual, over index slices of the arena. *)
+  let clusters = Dnastore.Pipeline.cluster_pool_default () rng reads in
   let target_len = Codec.Fountain.strand_nt enc.Codec.Fountain.params in
   let consensus =
     List.filter_map
-      (fun c ->
-        if c = [] then None
-        else Some (Reconstruction.Nw_consensus.reconstruct ~target_len (Array.of_list c)))
+      (fun idxs ->
+        if Array.length idxs = 0 then None
+        else Some (Reconstruction.Nw_consensus.reconstruct_pool ~target_len reads idxs))
       clusters
   in
   Printf.printf "reconstructed %d droplet candidates\n" (List.length consensus);

@@ -34,13 +34,14 @@ let () =
   let sequencing =
     Simulator.Sequencer.default_params ~coverage:(Simulator.Sequencer.Fixed 30)
   in
-  let reads = Simulator.Sequencer.sequence sequencing channel rng strands in
-  Printf.printf "2. sequenced %d noisy reads through the '%s' channel\n" (Array.length reads)
-    (Simulator.Channel.name channel);
+  let reads = Dna.Strand_pool.create () in
+  ignore (Simulator.Sequencer.sequence_pool sequencing channel rng strands ~pool:reads);
+  Printf.printf "2. sequenced %d noisy reads through the '%s' channel\n"
+    (Dna.Strand_pool.length reads) (Simulator.Channel.name channel);
 
-  (* 3. Cluster the reads by similarity; thresholds auto-configured. *)
-  let read_strands = Array.map (fun r -> r.Simulator.Sequencer.seq) reads in
-  let clusters = Dnastore.Pipeline.cluster_default () rng read_strands in
+  (* 3. Cluster the reads by similarity; thresholds auto-configured.
+     Clusters are index slices into the read arena. *)
+  let clusters = Dnastore.Pipeline.cluster_pool_default () rng reads in
   Printf.printf "3. clustered into %d clusters (expected %d)\n" (List.length clusters)
     (Array.length strands);
 
@@ -49,10 +50,9 @@ let () =
   let target_len = Codec.Params.strand_nt params in
   let consensus =
     List.filter_map
-      (fun cluster ->
-        match cluster with
-        | [] -> None
-        | reads -> Some (Reconstruction.Nw_consensus.reconstruct ~target_len (Array.of_list reads)))
+      (fun idxs ->
+        if Array.length idxs = 0 then None
+        else Some (Reconstruction.Nw_consensus.reconstruct_pool ~target_len reads idxs))
       clusters
   in
   Printf.printf "4. reconstructed %d consensus strands\n" (List.length consensus);

@@ -38,26 +38,26 @@ let () =
   Printf.printf "exported %d reads to %s\n" (Array.length read_strands) path;
 
   (* Ingest: parse, identify the primer pair, fix orientation, strip. *)
-  let ingested = Dnastore.Wetlab_io.ingest_file [ pair ] path in
-  let stats = ingested.Dnastore.Wetlab_io.stats in
+  let ingested = Dnastore.Wetlab_io.ingest_file_pool [ pair ] path in
+  let stats = ingested.Dnastore.Wetlab_io.pool_stats in
   Printf.printf
     "ingested: %d records (%d parse errors), %d forward + %d reverse oriented, %d unmatched\n"
     stats.Dnastore.Wetlab_io.total_records stats.parse_errors stats.forward stats.reverse
     stats.no_primer_match;
   let cores =
-    match ingested.Dnastore.Wetlab_io.by_pair with
+    match ingested.Dnastore.Wetlab_io.pools_by_pair with
     | [ (_, cores) ] -> cores
     | _ -> failwith "expected exactly one primer group"
   in
 
   (* The rest of the pipeline is unchanged: cluster, reconstruct, decode. *)
-  let clusters = Dnastore.Pipeline.cluster_default () rng cores in
+  let clusters = Dnastore.Pipeline.cluster_pool_default () rng cores in
   let target_len = Codec.Params.strand_nt params in
   let consensus =
     List.filter_map
-      (fun c ->
-        if c = [] then None
-        else Some (Reconstruction.Nw_consensus.reconstruct ~target_len (Array.of_list c)))
+      (fun idxs ->
+        if Array.length idxs = 0 then None
+        else Some (Reconstruction.Nw_consensus.reconstruct_pool ~target_len cores idxs))
       clusters
   in
   (match

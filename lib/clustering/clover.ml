@@ -137,7 +137,7 @@ let assign t idx (read : Dna.Strand.t) =
       add_member t cluster idx
 
 (* Cluster all reads in one pass; returns the same result shape as
-   {!Cluster.run} (without signature statistics). *)
+   {!Cluster.run_scaled} (without signature statistics). *)
 let run ?params (reads : Dna.Strand.t array) : Cluster.result =
   let t = create ?params () in
   Array.iteri (fun i r -> assign t i r) reads;

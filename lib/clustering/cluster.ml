@@ -13,8 +13,8 @@
        merge, and in between a (bounded) edit-distance comparison decides.
 
     Partitions are processed in parallel; merge decisions are applied to
-    a union-find afterwards, so the result is independent of worker
-    interleaving. *)
+    a union-find afterwards, in a fixed order, so the result is
+    independent of worker interleaving. *)
 
 type params = {
   rounds : int;  (** maximum rounds; the loop stops early once converged *)
@@ -66,122 +66,7 @@ type result = {
 
 let now () = Unix.gettimeofday ()
 
-let run params rng (reads : Dna.Strand.t array) : result =
-  let n = Array.length reads in
-  let dsu = Union_find.create n in
-  let stats =
-    {
-      signature_comparisons = 0;
-      edit_comparisons = 0;
-      merges = 0;
-      signature_time = 0.0;
-      clustering_time = 0.0;
-    }
-  in
-  let t_start = now () in
-  (* Signatures depend only on the read: compute them all up front, in
-     parallel, into an immutable array the bucket workers below share
-     read-only. (A lazy per-index cache here would be a data race: the
-     workers run on separate domains.) *)
-  let t_sig0 = now () in
-  let sigs =
-    Dna.Par.map_array ~label:"cluster.signatures" ~domains:params.domains
-      (fun r -> Signature.compute ~q:params.gram_len params.kind r)
-      reads
-  in
-  stats.signature_time <- now () -. t_sig0;
-  let stall = ref 0 in
-  let round = ref 0 in
-  while !round < params.rounds && !stall < params.stall_rounds do
-    incr round;
-    let merges_before = stats.merges in
-    (* One random representative per current cluster. *)
-    let members = Hashtbl.create 64 in
-    for i = 0 to n - 1 do
-      let root = Union_find.find dsu i in
-      let l = try Hashtbl.find members root with Not_found -> [] in
-      Hashtbl.replace members root (i :: l)
-    done;
-    let reps =
-      Hashtbl.fold
-        (fun root l acc ->
-          let arr = Array.of_list l in
-          (root, arr.(Dna.Rng.int rng (Array.length arr))) :: acc)
-        members []
-    in
-    (* Partition representatives by the bases following the anchor. *)
-    let anchor = Dna.Strand.random rng params.anchor_len in
-    let buckets = Hashtbl.create 64 in
-    List.iter
-      (fun (root, idx) ->
-        let read = reads.(idx) in
-        match Dna.Strand.find read ~pattern:anchor with
-        | Some p when p + params.anchor_len + params.partition_len <= Dna.Strand.length read ->
-            let key =
-              Dna.Strand.to_string
-                (Dna.Strand.sub read ~pos:(p + params.anchor_len) ~len:params.partition_len)
-            in
-            let l = try Hashtbl.find buckets key with Not_found -> [] in
-            Hashtbl.replace buckets key ((root, idx) :: l)
-        | Some _ | None -> () (* this cluster sits the round out *))
-      reps;
-    let bucket_arr =
-      Hashtbl.fold (fun _ l acc -> if List.length l > 1 then Array.of_list l :: acc else acc)
-        buckets []
-      |> Array.of_list
-    in
-    (* Compare pairs within each bucket in parallel; collect merge
-       decisions and counters, then apply them serially. *)
-    let decisions =
-      Dna.Par.map_array ~label:"cluster.buckets" ~domains:params.domains
-        (fun bucket ->
-          let sigs = Array.map (fun (_, idx) -> sigs.(idx)) bucket in
-          let merges = ref [] in
-          let sig_cmp = ref 0 and edit_cmp = ref 0 in
-          let b = Array.length bucket in
-          for i = 0 to b - 1 do
-            for j = i + 1 to b - 1 do
-              let root_i, idx_i = bucket.(i) and root_j, idx_j = bucket.(j) in
-              if root_i <> root_j then begin
-                incr sig_cmp;
-                let d = Signature.distance sigs.(i) sigs.(j) in
-                if d <= params.theta_low then merges := (root_i, root_j) :: !merges
-                else if d <= params.theta_high then begin
-                  incr edit_cmp;
-                  match
-                    Dna.Distance.levenshtein_leq ~backend:params.distance_backend
-                      ~bound:params.edit_threshold reads.(idx_i) reads.(idx_j)
-                  with
-                  | Some _ -> merges := (root_i, root_j) :: !merges
-                  | None -> ()
-                end
-              end
-            done
-          done;
-          (!merges, !sig_cmp, !edit_cmp))
-        bucket_arr
-    in
-    Array.iter
-      (fun (merges, sig_cmp, edit_cmp) ->
-        stats.signature_comparisons <- stats.signature_comparisons + sig_cmp;
-        stats.edit_comparisons <- stats.edit_comparisons + edit_cmp;
-        List.iter
-          (fun (a, b) ->
-            if not (Union_find.same dsu a b) then begin
-              Union_find.union dsu a b;
-              stats.merges <- stats.merges + 1
-            end)
-          merges)
-      decisions;
-    if stats.merges = merges_before then incr stall else stall := 0
-  done;
-  stats.clustering_time <- now () -. t_start;
-  let clusters = Union_find.clusters dsu in
-  let assignment = Array.init n (fun i -> Union_find.find dsu i) in
-  { assignment; clusters; stats }
-
-(* The same algorithm restructured for millions of reads: flat arrays
-   everywhere the boxed engine used hashtables of lists.
+(* The algorithm on flat arrays, so it scales to millions of reads:
 
    - representatives come from one reservoir-sampling pass over the
      reads (one rng draw per read, serial, so the result is independent
@@ -231,8 +116,7 @@ let run_scaled params rng (reads : Dna.Strand.t array) : result =
     let merges_before = stats.merges in
     (* One random representative per cluster, by reservoir sampling: the
        k-th member seen replaces the current pick with probability 1/k,
-       which is the boxed engine's uniform choice without building
-       member lists. *)
+       which is a uniform choice without building member lists. *)
     let n_roots = ref 0 in
     for i = 0 to n - 1 do
       let root = Union_find.find dsu i in

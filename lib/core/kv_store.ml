@@ -112,34 +112,36 @@ let get ?(stages = Pipeline.default_stages ()) ?(domains = Dna.Par.default_domai
       let t0 = Unix.gettimeofday () in
       let selected = pcr_select t entry.pair in
       (* Sequencing: noisy reads of the selected molecules, arriving in
-         both orientations like a real sequencer run. *)
+         both orientations like a real sequencer run, streamed into one
+         arena. *)
       let sequencing = { stages.Pipeline.sequencing with Simulator.Sequencer.p_reverse = 0.5 } in
-      let reads =
-        Simulator.Sequencer.sequence ~domains sequencing stages.Pipeline.channel t.rng selected
-      in
+      let reads = Dna.Strand_pool.create () in
+      ignore
+        (Simulator.Sequencer.sequence_pool sequencing stages.Pipeline.channel t.rng selected
+           ~pool:reads);
       let t1 = Unix.gettimeofday () in
-      (* Preprocess: orientation-normalize, strip primers. *)
+      (* Preprocess: orientation-normalize, strip primers (zero-copy,
+         into a core arena). *)
       let cores =
-        Array.to_list reads
-        |> List.filter_map (fun r ->
-               Codec.Primer.normalize entry.pair r.Simulator.Sequencer.seq)
-        |> Array.of_list
+        match (Wetlab_io.ingest_pool [ entry.pair ] reads).Wetlab_io.pools_by_pair with
+        | [ (_, cores) ] -> cores
+        | _ -> Dna.Strand_pool.create ()
       in
-      let clusters = stages.Pipeline.cluster t.rng cores in
+      let pooled = Pipeline.default_pooled_stages () in
+      let slices = Array.of_list (pooled.Pipeline.cluster_pool t.rng cores) in
       let t2 = Unix.gettimeofday () in
       let target_len = Codec.Params.strand_nt entry.params in
+      Pipeline.sort_cluster_slices cores slices;
       let reconstructed =
-        let cluster_arr = Array.of_list (List.map Array.of_list clusters) in
-        Pipeline.sort_clusters cluster_arr;
         Dna.Par.map_array ~label:"kv.reconstruct" ~domains
-          (fun reads ->
-            if Array.length reads = 0 then (None, 0.0)
+          (fun idxs ->
+            if Array.length idxs = 0 then (None, 0.0)
             else begin
               let c0 = Unix.gettimeofday () in
-              let s = stages.Pipeline.reconstruct ~target_len reads in
+              let s = pooled.Pipeline.reconstruct_pool ~target_len cores idxs in
               (Some s, Unix.gettimeofday () -. c0)
             end)
-          cluster_arr
+          slices
       in
       let consensus = List.filter_map fst (Array.to_list reconstructed) in
       let cluster_times =

@@ -59,6 +59,8 @@ val get :
   ?stages:Pipeline.stages -> ?domains:int -> t -> key:string ->
   (Bytes.t * Pipeline.timings, get_error) result
 (** The full random-access path: PCR selection, sequencing (reads in
-    both orientations), orientation normalization, primer stripping,
-    clustering, reconstruction, decoding. Every call is a fresh
-    sequencing run. *)
+    both orientations) through the [channel]/[sequencing] of [stages],
+    orientation normalization, primer stripping, then the pipeline's
+    default clustering and reconstruction over the core arena
+    ({!Pipeline.default_pooled_stages}), decoding. Every call is a
+    fresh sequencing run. *)

@@ -2,24 +2,18 @@
     stages wired from a file to its recovery, with per-stage wall-clock
     latencies (Table III).
 
-    The decode spine comes in two shapes: the default {e pooled} spine
-    keeps every read in one {!Dna.Strand_pool} arena from the channel
-    to the consensus (clusters are index slices, reconstruction runs on
-    [(pool, index)] views with per-domain scratch), and the {e boxed}
-    spine is the original strand-array path, kept as the oracle the
-    pooled spine is property-tested bit-identical against and as the
-    carrier for custom {!stages} closures. [?recon_pool] picks.
+    One decode spine: every read stays in one {!Dna.Strand_pool} arena
+    from the channel to the consensus. Clusters are index slices, and
+    reconstruction runs on [(pool, index)] views with per-domain
+    scratch. The channel and sequencing plan come from {!stages};
+    clustering and reconstruction from {!pooled_stages}.
 
     [run] never raises: crashing stages are caught and degraded, decode
     failures surface as a structured outcome, and the [partial] record
     maps what survived. *)
 
-type stages = {
-  channel : Simulator.Channel.t;
-  sequencing : Simulator.Sequencer.params;
-  cluster : Dna.Rng.t -> Dna.Strand.t array -> Dna.Strand.t list list;
-  reconstruct : target_len:int -> Dna.Strand.t array -> Dna.Strand.t;
-}
+type stages = { channel : Simulator.Channel.t; sequencing : Simulator.Sequencer.params }
+(** The simulated wetlab: the read channel and the sequencing plan. *)
 
 type pooled_stages = {
   cluster_pool : Dna.Rng.t -> Dna.Strand_pool.t -> int array list;
@@ -28,10 +22,10 @@ type pooled_stages = {
       (** consensus of one index slice *)
 }
 
-(** Spine selection for {!run}: [Pool_auto] (the default) uses the
-    pooled spine unless custom boxed [?stages] were supplied without
-    [?pooled] ones; [Pool_on]/[Pool_off] force a spine. *)
-type pool_mode = Pool_auto | Pool_on | Pool_off
+type pool_mode = Pool_on
+(** The type of {!run}'s [?recon_pool] argument. It has one value and
+    selects nothing; it exists so benchmark harnesses written against
+    the earlier two-spine API still compile. *)
 
 type timings = {
   encode_s : float;
@@ -39,8 +33,7 @@ type timings = {
   cluster_s : float;
   reconstruct_s : float;
   reconstruct_p50_s : float;
-      (** median per-cluster reconstruction wall time (0 outside [run]);
-          populated by both spines *)
+      (** median per-cluster reconstruction wall time (0 outside [run]) *)
   reconstruct_p95_s : float;
       (** 95th-percentile per-cluster reconstruction wall time: the tail
           a perf change must move, dominated by the largest clusters *)
@@ -68,74 +61,47 @@ type outcome = {
   reconstruct_words_per_cluster : float;
       (** mean minor-heap words allocated per reconstructed cluster
           (exact with [domains = 1], an approximation under parallel
-          workers) — the allocation tax the pooled spine removes;
-          renderable with {!Report.recon_alloc} *)
+          workers); renderable with {!Report.recon_alloc} *)
   decode_stats : Codec.File_codec.decode_stats option;
 }
-
-val cluster_default :
-  ?kind:Clustering.Signature.kind -> ?domains:int -> unit ->
-  Dna.Rng.t -> Dna.Strand.t array -> Dna.Strand.t list list
-(** The default clustering stage: thresholds auto-configured from the
-    data, then the iterative merge algorithm. *)
-
-val cluster_scaled_default :
-  ?kind:Clustering.Signature.kind -> ?domains:int -> unit ->
-  Dna.Rng.t -> Dna.Strand.t array -> Dna.Strand.t list list
-(** The scaled engine ({!Clustering.Cluster.run_scaled}) behind the
-    boxed stage type. Its rng draws differ from {!cluster_default}'s
-    merge engine, but are draw-for-draw identical to
-    {!cluster_pool_default} on the same reads — the boxed half of a
-    boxed-vs-pooled A/B under one seed. *)
 
 val cluster_pool_default :
   ?kind:Clustering.Signature.kind -> ?domains:int -> unit ->
   Dna.Rng.t -> Dna.Strand_pool.t -> int array list
-(** Pool-native default clustering: auto-configured thresholds, the
-    scaled engine, clusters returned as index slices into the arena. *)
-
-val reconstruct_bma : target_len:int -> Dna.Strand.t array -> Dna.Strand.t
-val reconstruct_dbma : target_len:int -> Dna.Strand.t array -> Dna.Strand.t
-
-val reconstruct_nw :
-  ?backend:Dna.Alignment.backend -> target_len:int -> Dna.Strand.t array -> Dna.Strand.t
-(** [backend] selects the pairwise alignment kernel (the consensus is
-    identical for every choice; see {!Dna.Alignment.align}). *)
+(** The default clustering stage: thresholds auto-configured from the
+    data, then the scaled merge engine ({!Clustering.Cluster.run_scaled});
+    clusters come back as index slices into the arena. *)
 
 val reconstruct_nw_pool :
   ?backend:Dna.Alignment.backend -> target_len:int -> Dna.Strand_pool.t -> int array ->
   Dna.Strand.t
-(** {!reconstruct_nw} over a cluster index-slice of an arena pool —
-    bit-identical to the boxed consensus on the same reads. *)
+(** Needleman-Wunsch consensus of a cluster index-slice of an arena
+    pool. [backend] selects the pairwise alignment kernel; the consensus
+    is identical for every choice (see {!Dna.Alignment.align}). *)
 
-val default_stages :
-  ?error_rate:float -> ?coverage:int -> ?recon_backend:Dna.Alignment.backend -> unit -> stages
-(** i.i.d. channel at 6%, fixed coverage 10, auto-configured q-gram
-    clustering, Needleman-Wunsch reconstruction running on
-    [recon_backend] (default: the process-wide
-    {!Dna.Alignment.current_default_backend}). *)
+val default_stages : ?error_rate:float -> ?coverage:int -> unit -> stages
+(** i.i.d. channel at 6%, fixed coverage 10. *)
 
 val default_pooled_stages :
   ?recon_backend:Dna.Alignment.backend -> unit -> pooled_stages
-(** Pool-native defaults: {!cluster_pool_default} and
-    {!reconstruct_nw_pool}. *)
+(** Auto-configured q-gram clustering ({!cluster_pool_default}) and
+    Needleman-Wunsch reconstruction ({!reconstruct_nw_pool}) running on
+    [recon_backend] (default: the process-wide
+    {!Dna.Alignment.current_default_backend}). *)
 
 val percentile : float array -> float -> float
 (** [percentile xs q] is the nearest-rank [q]-quantile ([0 < q <= 1]) of
     [xs] (not required to be sorted); 0 when [xs] is empty. Feeds the
-    [reconstruct_p50_s]/[reconstruct_p95_s] fields on both spines. *)
-
-val sort_clusters : Dna.Strand.t array array -> unit
-(** In-place: largest clusters first (their consensus claims the column
-    on conflicts), equal sizes tie-broken by their reads (length, then
-    lexicographic) so the order is deterministic however the clustering
-    stage emitted them — e.g. across [--domains] settings. Shared by
-    [run], [Kv_store.get] and the persistent store's decode path. *)
+    [reconstruct_p50_s]/[reconstruct_p95_s] fields. *)
 
 val sort_cluster_slices : Dna.Strand_pool.t -> int array array -> unit
-(** {!sort_clusters} over index slices, reads compared through their
-    pool views: both spines hand the decoder the same cluster order,
-    and the Par pool starts the big clusters first (tail latency). *)
+(** In-place: largest clusters first (their consensus claims the column
+    on conflicts), equal sizes tie-broken by their reads (length, then
+    lexicographic, compared through the pool views) so the order is
+    deterministic however the clustering stage emitted them — e.g.
+    across [--domains] settings. The Par pool then starts the big
+    clusters first (tail latency). Shared by [run], [Kv_store.get] and
+    the persistent store's decode path. *)
 
 val run :
   ?params:Codec.Params.t -> ?layout:Codec.Layout.t -> ?stages:stages ->
@@ -146,13 +112,16 @@ val run :
 (** Encode, simulate, cluster, reconstruct (largest clusters first),
     decode. Never raises.
 
-    [recon_pool] selects the spine (see {!pool_mode}). The pooled spine
-    sequences serially into one arena (draw-for-draw identical to
-    [sequence ~domains:1], hence the same read set), clusters into
-    index slices and reconstructs through [pooled] (default
-    {!default_pooled_stages}); its parallelism lives in clustering and
-    per-cluster reconstruction. The [channel]/[sequencing] fields of
-    [stages] feed both spines.
+    Sequencing runs serially into one arena (draw-for-draw identical to
+    [Simulator.Sequencer.sequence ~domains:1], hence the same read set
+    for every [domains]) through the [channel]/[sequencing] of [stages]
+    (default {!default_stages}). Clustering produces index slices and
+    reconstruction consumes them through [pooled] (default
+    {!default_pooled_stages}).
+
+    [recon_pool] exists only so benchmark harnesses that pass
+    [~recon_pool:Pool_on] keep compiling; it has one value and changes
+    nothing.
 
     [prepare] transforms the encoded strand pool between encode and
     sequencing — the hook scenario stacks use for physical pool models
@@ -167,18 +136,14 @@ val run :
     after sequencing; cluster loss after clustering) and its crash/stuck
     faults at stage entry. Degradation on a crashing stage: clustering
     falls back to singleton clusters, reconstruction falls back through
-    {!Reconstruction.Ensemble.reconstruct_fallback} (NW -> BMA ->
-    majority; the pool-native chain on the pooled spine) per cluster,
-    decode crashes return an all-lost [partial]. Given equal seeds
-    (pipeline rng and fault plan), the outcome replays bit-identically.
-    On the pooled spine, read-level faults materialize views, inject,
-    and rebuild a fresh arena (committed reads are write-once).
+    {!Reconstruction.Ensemble.reconstruct_fallback_pool} (NW -> BMA ->
+    majority) per cluster, decode crashes return an all-lost [partial].
+    Given equal seeds (pipeline rng and fault plan), the outcome replays
+    bit-identically. Read-level faults materialize views, inject, and
+    rebuild a fresh arena (committed reads are write-once).
 
     [domains] (default {!Dna.Par.default_domains}) parallelizes
-    per-strand read synthesis (boxed spine) and per-cluster
-    reconstruction (both spines). Under a fixed seed, clustering and
-    reconstruction outputs are identical for every worker count; the
-    simulated read set is identical across all [domains] on both spines
-    (see {!Simulator.Sequencer.sequence} for the serial path's draw
-    order). [Dna.Par.counters] exposes per-stage parallel timing,
-    renderable with {!Report.par_counters}. *)
+    per-cluster reconstruction. Under a fixed seed, clustering and
+    reconstruction outputs are identical for every worker count.
+    [Dna.Par.counters] exposes per-stage parallel timing, renderable
+    with {!Report.par_counters}. *)

@@ -25,7 +25,7 @@ val recon_percentiles : p50_s:float -> p95_s:float -> string
     the [reconstruct_p50_s]/[reconstruct_p95_s] fields of
     [Pipeline.timings]; empty when both are zero (no clusters ran). *)
 
-val recon_alloc : pooled:bool -> n_clusters:int -> words_per_cluster:float -> string
+val recon_alloc : n_clusters:int -> words_per_cluster:float -> string
 (** One line of reconstruction allocation accounting, from
     [Pipeline.outcome.reconstruct_words_per_cluster]; empty when no
     clusters ran. *)

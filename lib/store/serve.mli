@@ -55,14 +55,11 @@ type config = {
   degraded_reads : bool;
       (** answer damaged gets with {!Partial} instead of an error when
           the store can salvage part of the object *)
-  recon_pool : bool;
-      (** pool-native reconstruction inside {!Store.get_batch}
-          (see its [recon_pool]); bytes identical either way *)
 }
 
 val default_config : config
 (** [{ window = 32; max_queue = 256; domains = 1; use_cache = true;
-       deadline_s = None; degraded_reads = false; recon_pool = true }] *)
+       deadline_s = None; degraded_reads = false }] *)
 
 type completion = {
   ticket : int;  (** admission order, dense from 0 *)

@@ -542,31 +542,11 @@ type access_task = {
 }
 
 (* Cluster, reconstruct and decode one object's cores; pure given its
-   rng, so it can run on any domain. Returns the decode stats alongside
-   the bytes so partial (degraded) readers can map recovered ranges. *)
-let decode_consensus (o : Manifest.object_meta) consensus :
-    (Bytes.t * Codec.File_codec.decode_stats, error) result =
-  match Codec.File_codec.decode ~layout:o.layout ~params:o.params ~n_units:o.n_units consensus with
-  | Ok (bytes, stats) -> Ok (bytes, stats)
-  | Error e -> Error (Decode_failed { key = o.key; reason = Codec.File_codec.error_message e })
-
-let decode_task ?recon_backend rng (o : Manifest.object_meta) (cores : Dna.Strand.t array) :
-    (Bytes.t * Codec.File_codec.decode_stats, error) result =
-  let clusters = Dnastore.Pipeline.cluster_default ~domains:1 () rng cores in
-  let cluster_arr = Array.of_list (List.map Array.of_list clusters) in
-  Dnastore.Pipeline.sort_clusters cluster_arr;
-  let target_len = Codec.Params.strand_nt o.params in
-  let consensus =
-    Array.to_list cluster_arr
-    |> List.filter_map (fun reads ->
-           if Array.length reads = 0 then None
-           else Some (Dnastore.Pipeline.reconstruct_nw ?backend:recon_backend ~target_len reads))
-  in
-  decode_consensus o consensus
-
-(* Pool-native decode: the demuxed core arena goes straight to scaled
-   clustering (index slices) and arena-backed consensus — no boxed
-   strand per read between sequencing and the decoder. *)
+   rng, so it can run on any domain. The demuxed core arena goes
+   straight to scaled clustering (index slices) and arena-backed
+   consensus — no boxed strand per read between sequencing and the
+   decoder. Returns the decode stats alongside the bytes so partial
+   (degraded) readers can map recovered ranges. *)
 let decode_task_pool ?recon_backend rng (o : Manifest.object_meta) (cores : Dna.Strand_pool.t) :
     (Bytes.t * Codec.File_codec.decode_stats, error) result =
   let slices = Dnastore.Pipeline.cluster_pool_default ~domains:1 () rng cores in
@@ -580,10 +560,12 @@ let decode_task_pool ?recon_backend rng (o : Manifest.object_meta) (cores : Dna.
            else
              Some (Dnastore.Pipeline.reconstruct_nw_pool ?backend:recon_backend ~target_len cores idxs))
   in
-  decode_consensus o consensus
+  match Codec.File_codec.decode ~layout:o.layout ~params:o.params ~n_units:o.n_units consensus with
+  | Ok (bytes, stats) -> Ok (bytes, stats)
+  | Error e -> Error (Decode_failed { key = o.key; reason = Codec.File_codec.error_message e })
 
 (* Sequence, demultiplex, cluster, reconstruct, decode one object. *)
-let run_access_task ?recon_backend ?(recon_pool = true) t (tk : access_task) :
+let run_access_task ?recon_backend t (tk : access_task) :
     (Bytes.t * Codec.File_codec.decode_stats, error) result =
   let o = tk.tk_obj in
   let cfg = t.manifest.Manifest.config in
@@ -597,32 +579,18 @@ let run_access_task ?recon_backend ?(recon_pool = true) t (tk : access_task) :
     }
   in
   let channel = Simulator.Iid_channel.create_rate ~error_rate:cfg.error_rate in
-  (* Pooled wetlab path: reads stream channel -> arena -> per-pair core
-     arena with zero-copy primer stripping; no boxed strand or FASTQ
-     record per read. Draw-for-draw identical to the boxed
-     [sequence ~domains:1] path, so results match the historical ones. *)
+  (* Reads stream channel -> arena -> per-pair core arena with zero-copy
+     primer stripping; no boxed strand or FASTQ record per read. *)
   let pool = Dna.Strand_pool.create () in
   ignore (Simulator.Sequencer.sequence_pool sequencing channel seq_rng tk.tk_selected ~pool);
-  let ingested = Dnastore.Wetlab_io.ingest_pool [ o.pair ] pool in
-  if recon_pool then
-    (* Keep the arena all the way down: index-slice clustering and
-       arena-backed consensus, no boxed strand per read. *)
-    let cores =
-      match ingested.Dnastore.Wetlab_io.pools_by_pair with
-      | [ (_, cores) ] -> cores
-      | _ -> Dna.Strand_pool.create ()
-    in
-    decode_task_pool ?recon_backend decode_rng o cores
-  else
-    let cores =
-      match ingested.Dnastore.Wetlab_io.pools_by_pair with
-      | [ (_, cores) ] -> Dna.Strand_pool.to_array cores
-      | _ -> [||]
-    in
-    decode_task ?recon_backend decode_rng o cores
+  let cores =
+    match (Dnastore.Wetlab_io.ingest_pool [ o.pair ] pool).Dnastore.Wetlab_io.pools_by_pair with
+    | [ (_, cores) ] -> cores
+    | _ -> Dna.Strand_pool.create ()
+  in
+  decode_task_pool ?recon_backend decode_rng o cores
 
-let get_batch ?(domains = Dna.Par.default_domains ()) ?(use_cache = true) ?recon_backend
-    ?recon_pool t
+let get_batch ?(domains = Dna.Par.default_domains ()) ?(use_cache = true) ?recon_backend t
     (keys : string list) : (string * (Bytes.t, error) result) list =
   (* Resolve keys against a hashed view of the directory: cache hits
      answer immediately; misses are deduplicated (a key requested twice
@@ -712,7 +680,7 @@ let get_batch ?(domains = Dna.Par.default_domains ()) ?(use_cache = true) ?recon
   let outcome_arr =
     Dna.Par.map_array ~label:"store.get_batch" ~domains
       (fun tk ->
-        (tk.tk_obj.Manifest.key, Result.map fst (run_access_task ?recon_backend ?recon_pool t tk)))
+        (tk.tk_obj.Manifest.key, Result.map fst (run_access_task ?recon_backend t tk)))
       tasks
   in
   let outcomes : (string, (Bytes.t, error) result) Hashtbl.t =

@@ -106,8 +106,7 @@ val get : ?use_cache:bool -> t -> key:string -> (Bytes.t, error) result
     / [Object_lost] when scrub has classified the object. *)
 
 val get_batch :
-  ?domains:int -> ?use_cache:bool -> ?recon_backend:Dna.Alignment.backend -> ?recon_pool:bool ->
-  t -> string list ->
+  ?domains:int -> ?use_cache:bool -> ?recon_backend:Dna.Alignment.backend -> t -> string list ->
   (string * (Bytes.t, error) result) list
 (** Serve many keys in one pass, in input order (duplicates allowed —
     a key requested twice decodes once and answers twice): cache hits
@@ -119,10 +118,9 @@ val get_batch :
     a key decodes to are identical across [get], any batch composition
     and any [domains]. [recon_backend] selects the consensus alignment
     kernel (see {!Dna.Alignment.align}); decoded bytes are identical
-    for every choice. [recon_pool] (default [true]) keeps each object's
-    demuxed core arena pool-native through clustering and consensus
-    (index slices + per-domain scratch, no boxed strand per read);
-    [false] routes through the historical boxed path. *)
+    for every choice. Each object's demuxed core arena stays
+    pool-native through clustering and consensus (index slices and
+    per-domain scratch, no boxed strand per read). *)
 
 type partial_read = {
   bytes : Bytes.t;  (** best-effort reconstruction, length = original size *)

@@ -155,13 +155,23 @@ let test_cluster_sort_deterministic () =
       arr.(j) <- t
     done
   in
+  (* The same clusters as index slices into one arena. *)
+  let pool = Dna.Strand_pool.create () in
+  let slices =
+    Array.map (Array.map (fun read -> Dna.Strand_pool.add_strand pool read)) clusters
+  in
   let reference = Array.copy clusters in
-  Dnastore.Pipeline.sort_clusters reference;
+  Oracle.sort_clusters reference;
+  let materialize = Array.map (Array.map (Dna.Strand_pool.get pool)) in
+  let sorted = Array.copy slices in
+  Dnastore.Pipeline.sort_cluster_slices pool sorted;
+  Alcotest.(check bool) "slice order = boxed oracle order" true
+    (Array.for_all2 (Array.for_all2 Dna.Strand.equal) (materialize sorted) reference);
   for _ = 1 to 5 do
-    let shuffled = Array.copy clusters in
+    let shuffled = Array.copy slices in
     shuffle shuffled;
-    Dnastore.Pipeline.sort_clusters shuffled;
-    Alcotest.(check bool) "sorted cluster order identical" true (shuffled = reference)
+    Dnastore.Pipeline.sort_cluster_slices pool shuffled;
+    Alcotest.(check bool) "sorted cluster order identical" true (shuffled = sorted)
   done
 
 (* ---- pool-native reconstruction: bit-identity with the boxed path ----

@@ -120,7 +120,7 @@ let run_clustering ?(kind = Clustering.Signature.Qgram) r reads =
   let params = Clustering.Cluster.default_params ~kind ~read_len () in
   let config = Clustering.Auto_config.configure params r reads in
   let params = Clustering.Auto_config.apply config params in
-  Clustering.Cluster.run params r reads
+  Clustering.Cluster.run_scaled params r reads
 
 let test_clustering_recovers_planted () =
   let r = rng () in
@@ -152,7 +152,7 @@ let test_clustering_noiseless_exact () =
 let test_clustering_empty_input () =
   let r = rng () in
   let params = Clustering.Cluster.default_params ~read_len:100 () in
-  let result = Clustering.Cluster.run params r [||] in
+  let result = Clustering.Cluster.run_scaled params r [||] in
   Alcotest.(check int) "no clusters" 0 (List.length result.Clustering.Cluster.clusters)
 
 let test_clustering_singleton_input () =
@@ -179,8 +179,8 @@ let test_clustering_parallel_same_quality () =
   let base = Clustering.Cluster.default_params ~read_len () in
   let cfg = Clustering.Auto_config.configure base (Dna.Rng.create 1) reads in
   let base = Clustering.Auto_config.apply cfg base in
-  let seq_result = Clustering.Cluster.run { base with domains = 1 } r1 reads in
-  let par_result = Clustering.Cluster.run { base with domains = 2 } r2 reads in
+  let seq_result = Clustering.Cluster.run_scaled { base with domains = 1 } r1 reads in
+  let par_result = Clustering.Cluster.run_scaled { base with domains = 2 } r2 reads in
   let acc_seq = Clustering.Metrics.accuracy ~truth seq_result.Clustering.Cluster.clusters in
   let acc_par = Clustering.Metrics.accuracy ~truth par_result.Clustering.Cluster.clusters in
   Alcotest.(check bool) "both accurate" true (acc_seq >= 0.9 && acc_par >= 0.9)
@@ -196,7 +196,7 @@ let test_clustering_parallel_identical_assignment () =
   let cfg = Clustering.Auto_config.configure base (Dna.Rng.create 1) reads in
   let base = Clustering.Auto_config.apply cfg base in
   let run domains =
-    (Clustering.Cluster.run { base with domains } (Dna.Rng.create 99) reads)
+    (Clustering.Cluster.run_scaled { base with domains } (Dna.Rng.create 99) reads)
       .Clustering.Cluster.assignment
   in
   let serial = run 1 in
@@ -381,21 +381,6 @@ let test_index_sharded_build_identical () =
 let scaled_params ?(domains = 1) () =
   { (Clustering.Cluster.default_params ~read_len:110 ()) with domains }
 
-let test_scaled_identical_across_domains () =
-  let reads, _ = planted_reads 4242 in
-  let baseline =
-    Clustering.Cluster.run_scaled (scaled_params ()) (Dna.Rng.create 5) reads
-  in
-  List.iter
-    (fun domains ->
-      let result =
-        Clustering.Cluster.run_scaled (scaled_params ~domains ()) (Dna.Rng.create 5) reads
-      in
-      Alcotest.(check (array int))
-        (Printf.sprintf "assignment identical at domains=%d" domains)
-        baseline.Clustering.Cluster.assignment result.Clustering.Cluster.assignment)
-    [ 2; 4 ]
-
 let test_run_pool_matches_run_scaled () =
   let reads, _ = planted_reads 777 in
   let pool = Dna.Strand_pool.create () in
@@ -447,15 +432,6 @@ let test_scaled_recovers_planted () =
   Alcotest.(check int) "partition covers reads" n
     (List.length (List.sort_uniq compare members))
 
-let test_scaled_empty_and_singleton () =
-  let empty = Clustering.Cluster.run_scaled (scaled_params ()) (Dna.Rng.create 1) [||] in
-  Alcotest.(check int) "no clusters" 0 (List.length empty.Clustering.Cluster.clusters);
-  let one =
-    Clustering.Cluster.run_scaled (scaled_params ()) (Dna.Rng.create 1)
-      [| Dna.Strand.random (rng ()) 110 |]
-  in
-  Alcotest.(check int) "one cluster" 1 (List.length one.Clustering.Cluster.clusters)
-
 let () =
   Alcotest.run "clustering"
     [
@@ -491,13 +467,10 @@ let () =
             test_index_matches_boxed_signatures;
           Alcotest.test_case "index sharded build identical" `Quick
             test_index_sharded_build_identical;
-          Alcotest.test_case "identical across domains" `Quick
-            test_scaled_identical_across_domains;
           Alcotest.test_case "run_pool = run_scaled" `Quick test_run_pool_matches_run_scaled;
           Alcotest.test_case "pool slices reconstruct identically" `Quick
             test_pool_slices_reconstruct_identically;
           Alcotest.test_case "recovers planted" `Quick test_scaled_recovers_planted;
-          Alcotest.test_case "empty/singleton" `Quick test_scaled_empty_and_singleton;
         ] );
       ( "auto-config",
         [

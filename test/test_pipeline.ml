@@ -28,23 +28,28 @@ let test_pipeline_every_stage_combination () =
       List.iter
         (fun (rname, recon) ->
           let r = Dna.Rng.create 17 in
-          let stages =
+          let pooled =
             {
-              (Dnastore.Pipeline.default_stages ()) with
-              Dnastore.Pipeline.cluster = Dnastore.Pipeline.cluster_default ~kind ();
-              reconstruct = recon;
+              Dnastore.Pipeline.cluster_pool = Dnastore.Pipeline.cluster_pool_default ~kind ();
+              reconstruct_pool = recon;
             }
           in
-          let out = Dnastore.Pipeline.run ~stages r file in
+          let out = Dnastore.Pipeline.run ~pooled r file in
           Alcotest.(check bool)
             (Printf.sprintf "%s + %s exact"
                (match kind with Clustering.Signature.Qgram -> "qgram" | _ -> "wgram")
                rname)
             true out.Dnastore.Pipeline.exact)
         [
-          ("bma", Dnastore.Pipeline.reconstruct_bma);
-          ("dbma", Dnastore.Pipeline.reconstruct_dbma);
-          ("nw", fun ~target_len reads -> Dnastore.Pipeline.reconstruct_nw ~target_len reads);
+          ( "bma",
+            fun ~target_len pool idxs ->
+              Reconstruction.Bma.reconstruct_pool ~target_len pool idxs );
+          ( "dbma",
+            fun ~target_len pool idxs ->
+              Reconstruction.Bma.reconstruct_double_pool ~target_len pool idxs );
+          ( "nw",
+            fun ~target_len pool idxs -> Dnastore.Pipeline.reconstruct_nw_pool ~target_len pool idxs
+          );
         ])
     [ Clustering.Signature.Qgram; Clustering.Signature.Wgram ]
 
@@ -85,113 +90,95 @@ let test_pipeline_parallel_domains () =
 
 let test_pipeline_parallel_counters_visible () =
   (* Every parallel stage must leave a labeled counter behind,
-     renderable through Core.Report — on both spines. The pooled
-     default sequences serially into the arena (no synthesis region)
-     and clusters through the sharded index; the boxed spine keeps the
-     historical labels. *)
-  let check_labels ~spine expected run =
-    Dna.Par.reset_counters ();
-    let out = run () in
-    Alcotest.(check bool) (spine ^ " ran") true (out.Dnastore.Pipeline.n_reads > 0);
-    let labels = List.map (fun c -> c.Dna.Par.label) (Dna.Par.counters ()) in
-    List.iter
-      (fun label ->
-        Alcotest.(check bool) (spine ^ " " ^ label ^ " counted") true (List.mem label labels))
-      expected;
-    List.iter
-      (fun c ->
-        Alcotest.(check bool) (c.Dna.Par.label ^ " ran tasks") true (c.Dna.Par.tasks > 0);
-        Alcotest.(check bool) (c.Dna.Par.label ^ " wall >= 0") true (c.Dna.Par.wall_s >= 0.0))
-      (Dna.Par.counters ());
-    let rendered = Dnastore.Report.par_counters (Dna.Par.counters ()) in
-    Alcotest.(check bool) (spine ^ " report nonempty") true (String.length rendered > 0);
-    Dna.Par.reset_counters ()
-  in
-  check_labels ~spine:"pooled"
-    [ "cluster.index"; "cluster.buckets"; "pipeline.reconstruct" ]
-    (fun () -> Dnastore.Pipeline.run ~domains:2 (rng ()) (random_file (rng ()) 500));
-  check_labels ~spine:"boxed"
-    [ "simulate.synthesis"; "cluster.signatures"; "cluster.buckets"; "pipeline.reconstruct" ]
-    (fun () ->
-      Dnastore.Pipeline.run ~recon_pool:Dnastore.Pipeline.Pool_off ~domains:2 (rng ())
-        (random_file (rng ()) 500))
+     renderable through Core.Report. Sequencing runs serially into the
+     arena (no synthesis region); clustering builds the sharded index
+     and compares bucket segments in parallel. *)
+  Dna.Par.reset_counters ();
+  let out = Dnastore.Pipeline.run ~domains:2 (rng ()) (random_file (rng ()) 500) in
+  Alcotest.(check bool) "pipeline ran" true (out.Dnastore.Pipeline.n_reads > 0);
+  let labels = List.map (fun c -> c.Dna.Par.label) (Dna.Par.counters ()) in
+  List.iter
+    (fun label -> Alcotest.(check bool) (label ^ " counted") true (List.mem label labels))
+    [ "cluster.index"; "cluster.buckets"; "pipeline.reconstruct" ];
+  List.iter
+    (fun c ->
+      Alcotest.(check bool) (c.Dna.Par.label ^ " ran tasks") true (c.Dna.Par.tasks > 0);
+      Alcotest.(check bool) (c.Dna.Par.label ^ " wall >= 0") true (c.Dna.Par.wall_s >= 0.0))
+    (Dna.Par.counters ());
+  let rendered = Dnastore.Report.par_counters (Dna.Par.counters ()) in
+  Alcotest.(check bool) "report nonempty" true (String.length rendered > 0);
+  Dna.Par.reset_counters ()
 
-(* ---------- pooled vs boxed spine ---------- *)
+(* ---------- the decode spine against the boxed oracle ---------- *)
 
-(* Same seed, same scaled clustering engine: the pooled spine and the
-   boxed spine must decode byte-identical files. *)
+(* [Pipeline.run] keeps every read in one arena; the test-tree boxed
+   composition ([Oracle.boxed_pipeline]) runs the same draws on strand
+   arrays. Same seed: same reads, same clusters, byte-identical files —
+   at every worker count. *)
 let test_pipeline_spines_byte_identical () =
   let file = random_file (rng ()) 1100 in
-  let pooled =
-    Dnastore.Pipeline.run ~recon_pool:Dnastore.Pipeline.Pool_on ~domains:1
-      (Dna.Rng.create 77) file
-  in
+  List.iter
+    (fun seed ->
+      let boxed = Oracle.boxed_pipeline (Dna.Rng.create seed) file in
+      Alcotest.(check bool) (Printf.sprintf "seed %d oracle decoded" seed) true
+        (boxed.Oracle.file <> None);
+      List.iter
+        (fun domains ->
+          let what = Printf.sprintf "seed %d domains %d" seed domains in
+          let out = Dnastore.Pipeline.run ~domains (Dna.Rng.create seed) file in
+          Alcotest.(check (option bytes)) (what ^ " bytes identical") boxed.Oracle.file
+            out.Dnastore.Pipeline.file;
+          Alcotest.(check int) (what ^ " same reads") boxed.Oracle.n_reads
+            out.Dnastore.Pipeline.n_reads;
+          Alcotest.(check int) (what ^ " same clusters") boxed.Oracle.n_clusters
+            out.Dnastore.Pipeline.n_clusters)
+        [ 1; 2 ])
+    [ 77; 78 ]
+
+(* Regression: custom [stages] without [pooled] once pinned a separate
+   boxed spine and the old clustering engine, so callers that only swap
+   the channel (the scenario matrix, Table III, the key-value store)
+   measured a path nothing else used. They must run the scaled engine,
+   whose sharded signature index leaves the [cluster.index] label. *)
+let test_pipeline_custom_stages_scaled_engine () =
+  let file = random_file (rng ()) 500 in
   let stages =
     {
       (Dnastore.Pipeline.default_stages ()) with
-      Dnastore.Pipeline.cluster = Dnastore.Pipeline.cluster_scaled_default ~domains:1 ();
+      Dnastore.Pipeline.channel = Simulator.Solqc_channel.create_rate ~error_rate:0.03;
     }
   in
-  let boxed =
-    Dnastore.Pipeline.run ~stages ~recon_pool:Dnastore.Pipeline.Pool_off ~domains:1
-      (Dna.Rng.create 77) file
-  in
-  Alcotest.(check bool) "pooled exact" true pooled.Dnastore.Pipeline.exact;
-  Alcotest.(check bool) "boxed exact" true boxed.Dnastore.Pipeline.exact;
-  (match (pooled.Dnastore.Pipeline.file, boxed.Dnastore.Pipeline.file) with
-  | Some a, Some b -> Alcotest.(check bytes) "bytes identical" a b
-  | _ -> Alcotest.fail "a spine decoded nothing");
-  Alcotest.(check int) "same reads" boxed.Dnastore.Pipeline.n_reads
-    pooled.Dnastore.Pipeline.n_reads;
-  Alcotest.(check int) "same clusters" boxed.Dnastore.Pipeline.n_clusters
-    pooled.Dnastore.Pipeline.n_clusters
-
-(* Custom boxed stages without an explicit mode pin the boxed spine
-   (their closures speak boxed types); Pool_auto with defaults is
-   pooled. The words counter tells the two apart. *)
-let test_pipeline_pool_auto_spine_choice () =
-  let file = random_file (rng ()) 500 in
   Dna.Par.reset_counters ();
-  let out = Dnastore.Pipeline.run ~stages:(Dnastore.Pipeline.default_stages ()) (rng ()) file in
+  let out = Dnastore.Pipeline.run ~stages (rng ()) file in
   let labels = List.map (fun c -> c.Dna.Par.label) (Dna.Par.counters ()) in
-  Alcotest.(check bool) "custom stages stay boxed" true
-    (List.mem "cluster.signatures" labels && not (List.mem "cluster.index" labels));
-  Alcotest.(check bool) "boxed run exact" true out.Dnastore.Pipeline.exact;
-  Dna.Par.reset_counters ();
-  let out = Dnastore.Pipeline.run (rng ()) file in
-  let labels = List.map (fun c -> c.Dna.Par.label) (Dna.Par.counters ()) in
-  Alcotest.(check bool) "default run pooled" true (List.mem "cluster.index" labels);
-  Alcotest.(check bool) "pooled run exact" true out.Dnastore.Pipeline.exact;
+  Alcotest.(check bool) "custom channel runs the scaled engine" true
+    (List.mem "cluster.index" labels);
+  Alcotest.(check bool) "custom channel run exact" true out.Dnastore.Pipeline.exact;
   Dna.Par.reset_counters ()
 
-(* The per-cluster timing percentiles must be populated and ordered on
-   the pooled spine (they regressed to zero once when the pooled tasks
-   stopped reporting wall times), and the allocation counter must show
-   the pooled spine allocating strictly less than the boxed one. *)
+(* The per-cluster timing percentiles must be populated and ordered
+   (they regressed to zero once when the arena tasks stopped reporting
+   wall times), and the allocation counter must show the arena path
+   allocating strictly less per cluster than the boxed oracle's
+   consensus on the same seed. *)
 let test_pipeline_pooled_timings_and_words () =
   let file = random_file (rng ()) 1100 in
-  let pooled =
-    Dnastore.Pipeline.run ~recon_pool:Dnastore.Pipeline.Pool_on ~domains:1
-      (Dna.Rng.create 99) file
-  in
+  let pooled = Dnastore.Pipeline.run ~domains:1 (Dna.Rng.create 99) file in
   let t = pooled.Dnastore.Pipeline.timings in
   Alcotest.(check bool) "p50 positive" true (t.Dnastore.Pipeline.reconstruct_p50_s > 0.0);
   Alcotest.(check bool) "percentiles monotone" true
     (t.Dnastore.Pipeline.reconstruct_p50_s <= t.Dnastore.Pipeline.reconstruct_p95_s
     && t.Dnastore.Pipeline.reconstruct_p95_s <= t.Dnastore.Pipeline.reconstruct_s);
-  let boxed =
-    Dnastore.Pipeline.run ~recon_pool:Dnastore.Pipeline.Pool_off ~domains:1
-      (Dna.Rng.create 99) file
-  in
+  let boxed = Oracle.boxed_pipeline (Dna.Rng.create 99) file in
   let wp = pooled.Dnastore.Pipeline.reconstruct_words_per_cluster
-  and wb = boxed.Dnastore.Pipeline.reconstruct_words_per_cluster in
+  and wb = boxed.Oracle.words_per_cluster in
   Alcotest.(check bool) "boxed words counted" true (wb > 0.0);
   Alcotest.(check bool) "pooled words counted" true (wp > 0.0);
   Alcotest.(check bool)
     (Printf.sprintf "pooled allocates less (%.0f < %.0f)" wp wb)
     true (wp < wb);
   let rendered =
-    Dnastore.Report.recon_alloc ~pooled:true ~n_clusters:pooled.Dnastore.Pipeline.n_clusters
+    Dnastore.Report.recon_alloc ~n_clusters:pooled.Dnastore.Pipeline.n_clusters
       ~words_per_cluster:wp
   in
   Alcotest.(check bool) "alloc report nonempty" true (String.length rendered > 0)
@@ -402,7 +389,8 @@ let () =
             test_pipeline_parallel_counters_visible;
           Alcotest.test_case "dropout tolerated" `Quick test_pipeline_dropout_within_parity;
           Alcotest.test_case "spines byte-identical" `Quick test_pipeline_spines_byte_identical;
-          Alcotest.test_case "pool auto spine choice" `Quick test_pipeline_pool_auto_spine_choice;
+          Alcotest.test_case "custom stages run the scaled engine" `Quick
+            test_pipeline_custom_stages_scaled_engine;
           Alcotest.test_case "pooled timings and words" `Quick
             test_pipeline_pooled_timings_and_words;
         ] );
