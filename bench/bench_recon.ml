@@ -1,7 +1,7 @@
-(* The reconstruction bench: times the alignment kernels (full matrix vs
-   Ukkonen-banded) and the whole consensus path built on them, and writes
-   BENCH_recon.json so future perf changes have a trajectory to regress
-   against.
+(* The reconstruction bench: times the alignment kernels (the full-matrix
+   oracle vs the default bit-vector kernel) and the whole consensus path
+   built on them, and writes BENCH_recon.json so future perf changes have
+   a trajectory to regress against.
 
      dune exec bench/bench_recon.exe                 # full run, writes
                                                      # BENCH_recon.json in CWD
@@ -9,19 +9,22 @@
      dune exec bench/bench_recon.exe -- --smoke      # tiny budget: checks the
                                                      # harness and JSON, not timing
 
-   Three tiers, each with an exactness guard (the banded kernel is only
+   Three tiers, each with an exactness guard (the default kernel is only
    a perf knob — any output difference is a bug and fails the bench):
 
-   - align: ns/op for sibling pairs at 120nt and 300nt, per backend;
+   - align: ns/op for sibling pairs at 120nt and 300nt, per backend,
+     after checking both backends agree on every pair of lengths across
+     the 63-bit block boundaries;
    - reconstruct: ns per whole-cluster NW consensus at coverage 5/10/20,
      with byte-identical consensus required between backends;
    - pipeline: end-to-end [Pipeline.run] stage timings per backend, with
-     identical decoded bytes required; the config records the banded
-     run's minor words per cluster and peak RSS.
+     identical decoded bytes required; the config records the default
+     run's minor words per cluster and peak RSS, and the machine's core
+     count.
 
-   The job also fails if banded is slower than full on the 120nt align
-   case (threshold 1.0, relaxed to 0.8 under --smoke where timings are
-   noise). *)
+   The job also fails if the default kernel is slower than full on the
+   120nt align case (threshold 1.0, relaxed to 0.8 under --smoke where
+   timings are noise). *)
 
 let smoke = ref false
 let out_dir = ref "."
@@ -100,17 +103,40 @@ let sibling rng s =
   let ch = Simulator.Iid_channel.create_rate ~error_rate in
   Simulator.Channel.transmit ch rng s
 
-let check_same_alignment name (f : Dna.Alignment.t) (b : Dna.Alignment.t) =
-  if f.Dna.Alignment.score <> b.Dna.Alignment.score || f.script <> b.script then begin
-    Printf.eprintf "backend disagreement on %s (full score %d, banded score %d)\n" name
-      f.Dna.Alignment.score b.Dna.Alignment.score;
+let check_same_alignment name (f : Dna.Alignment.t) (d : Dna.Alignment.t) =
+  if f.Dna.Alignment.score <> d.Dna.Alignment.score || f.script <> d.script then begin
+    Printf.eprintf "backend disagreement on %s (full score %d, default score %d)\n" name
+      f.Dna.Alignment.score d.Dna.Alignment.score;
     exit 1
   end
+
+let align_full a b = Dna.Alignment.align ~backend:Dna.Alignment.Full a b
+let align_default a b = Dna.Alignment.align ~backend:Dna.Alignment.Auto a b
+
+(* Both backends on every pair of lengths on either side of the default
+   kernel's 63-row block edges, sibling and unrelated reads alike. *)
+let check_block_boundaries rng =
+  let lengths = [ 0; 1; 62; 63; 64; 125; 126; 127; 189; 190 ] in
+  List.iter
+    (fun la ->
+      List.iter
+        (fun lb ->
+          let a = Dna.Strand.random rng la in
+          let pairs = [ ("random", Dna.Strand.random rng lb); ("sibling", sibling rng a) ] in
+          List.iter
+            (fun (kind, b) ->
+              check_same_alignment
+                (Printf.sprintf "boundary %d/%d %s" la lb kind)
+                (align_full a b) (align_default a b))
+            pairs)
+        lengths)
+    lengths
 
 (* Tier 1: the pairwise kernel on sibling reads. Returns the 120nt
    speedup for the regression guard. *)
 let run_align () =
   let rng = Dna.Rng.create 123 in
+  check_block_boundaries rng;
   let cases =
     List.map
       (fun len ->
@@ -122,25 +148,21 @@ let run_align () =
   let results =
     List.map
       (fun (name, a, b) ->
-        check_same_alignment name
-          (Dna.Alignment.align ~backend:Dna.Alignment.Full a b)
-          (Dna.Alignment.align ~backend:Dna.Alignment.Banded a b);
-        let ns_full = ns_per_op (fun () -> Dna.Alignment.align ~backend:Dna.Alignment.Full a b) in
-        let ns_banded =
-          ns_per_op (fun () -> Dna.Alignment.align ~backend:Dna.Alignment.Banded a b)
-        in
-        let speedup = ns_full /. ns_banded in
-        Printf.printf "%-28s full %10.1f ns   banded %10.1f ns   %5.1fx\n" name ns_full ns_banded
-          speedup;
-        (name, ns_full, ns_banded, speedup))
+        check_same_alignment name (align_full a b) (align_default a b);
+        let ns_full = ns_per_op (fun () -> align_full a b) in
+        let ns_default = ns_per_op (fun () -> align_default a b) in
+        let speedup = ns_full /. ns_default in
+        Printf.printf "%-28s full %10.1f ns   default %10.1f ns   %5.1fx\n" name ns_full
+          ns_default speedup;
+        (name, ns_full, ns_default, speedup))
       cases
   in
   let entries =
     List.concat_map
-      (fun (name, ns_full, ns_banded, speedup) ->
+      (fun (name, ns_full, ns_default, speedup) ->
         [
           entry ~ns:ns_full ~speedup:1.0 (name ^ "/full");
-          entry ~ns:ns_banded ~speedup (name ^ "/banded");
+          entry ~ns:ns_default ~speedup (name ^ "/default");
         ])
       results
   in
@@ -165,13 +187,13 @@ let run_reconstruct () =
             Reconstruction.Nw_consensus.reconstruct ~backend:Dna.Alignment.Full
               ~target_len:read_len reads
           in
-          let banded =
-            Reconstruction.Nw_consensus.reconstruct ~backend:Dna.Alignment.Banded
+          let default =
+            Reconstruction.Nw_consensus.reconstruct ~backend:Dna.Alignment.Auto
               ~target_len:read_len reads
           in
-          if not (Dna.Strand.equal full banded) then begin
-            Printf.eprintf "consensus mismatch at coverage %d:\n  full   %s\n  banded %s\n"
-              coverage (Dna.Strand.to_string full) (Dna.Strand.to_string banded);
+          if not (Dna.Strand.equal full default) then begin
+            Printf.eprintf "consensus mismatch at coverage %d:\n  full    %s\n  default %s\n"
+              coverage (Dna.Strand.to_string full) (Dna.Strand.to_string default);
             exit 1
           end)
         clusters;
@@ -183,21 +205,20 @@ let run_reconstruct () =
       in
       let per_cluster ns = ns /. float_of_int n_clusters in
       let ns_full = per_cluster (ns_per_op (sweep Dna.Alignment.Full)) in
-      let ns_banded = per_cluster (ns_per_op (sweep Dna.Alignment.Banded)) in
-      let speedup = ns_full /. ns_banded in
+      let ns_default = per_cluster (ns_per_op (sweep Dna.Alignment.Auto)) in
+      let speedup = ns_full /. ns_default in
       let name = Printf.sprintf "reconstruct/len-%d-cov-%d" read_len coverage in
-      Printf.printf "%-28s full %10.1f ns   banded %10.1f ns   %5.1fx\n" name ns_full ns_banded
-        speedup;
+      Printf.printf "%-28s full %10.1f ns   default %10.1f ns   %5.1fx\n" name ns_full
+        ns_default speedup;
       [
         entry ~ns:ns_full ~speedup:1.0 (name ^ "/full");
-        entry ~ns:ns_banded ~speedup (name ^ "/banded");
+        entry ~ns:ns_default ~speedup (name ^ "/default");
       ])
     [ 5; 10; 20 ]
 
 (* Tier 3: the whole pipeline, differing only in the reconstruction
    backend. Same seed on both runs, so the decoded bytes must match.
-   The banded (default) leg runs first so the VmHWM reading reflects
-   it alone: the counter is a process-lifetime high-water mark, and
+   The default leg runs first so the VmHWM reading reflects it alone: the counter is a process-lifetime high-water mark, and
    this tier runs before the others. *)
 let run_pipeline () =
   let file_bytes = if !smoke then 128 else 2048 in
@@ -211,17 +232,17 @@ let run_pipeline () =
     let pooled = Dnastore.Pipeline.default_pooled_stages ~recon_backend:backend () in
     Dnastore.Pipeline.run ~stages ~pooled ~domains:1 rng data
   in
-  let out_banded = run Dna.Alignment.Banded in
+  let out_default = run Dna.Alignment.Auto in
   let peak_rss = Scale_stream.peak_rss_mb () in
   let out_full = run Dna.Alignment.Full in
-  (match (out_full.Dnastore.Pipeline.file, out_banded.Dnastore.Pipeline.file) with
+  (match (out_full.Dnastore.Pipeline.file, out_default.Dnastore.Pipeline.file) with
   | Some a, Some b when Bytes.equal a b -> ()
   | _ ->
       Printf.eprintf "pipeline decode differs between backends\n";
       exit 1);
-  let tf = out_full.Dnastore.Pipeline.timings and tb = out_banded.Dnastore.Pipeline.timings in
+  let tf = out_full.Dnastore.Pipeline.timings and tb = out_default.Dnastore.Pipeline.timings in
   Printf.printf
-    "pipeline reconstruct: full %.3fs (p50 %.2f ms, p95 %.2f ms)  banded %.3fs (p50 %.2f ms, p95 %.2f ms)  %.1fx\n"
+    "pipeline reconstruct: full %.3fs (p50 %.2f ms, p95 %.2f ms)  default %.3fs (p50 %.2f ms, p95 %.2f ms)  %.1fx\n"
     tf.Dnastore.Pipeline.reconstruct_s
     (1000.0 *. tf.Dnastore.Pipeline.reconstruct_p50_s)
     (1000.0 *. tf.Dnastore.Pipeline.reconstruct_p95_s)
@@ -229,10 +250,12 @@ let run_pipeline () =
     (1000.0 *. tb.Dnastore.Pipeline.reconstruct_p50_s)
     (1000.0 *. tb.Dnastore.Pipeline.reconstruct_p95_s)
     (tf.Dnastore.Pipeline.reconstruct_s /. tb.Dnastore.Pipeline.reconstruct_s);
-  let stage name full banded =
+  let stage name full default =
     [
       entry ~s:full ~speedup:1.0 (name ^ "/full");
-      entry ~s:banded ~speedup:(if banded > 0.0 then full /. banded else 1.0) (name ^ "/banded");
+      entry ~s:default
+        ~speedup:(if default > 0.0 then full /. default else 1.0)
+        (name ^ "/default");
     ]
   in
   ( stage "pipeline/reconstruct_s" tf.Dnastore.Pipeline.reconstruct_s
@@ -246,8 +269,9 @@ let run_pipeline () =
       (Dnastore.Pipeline.total_s tb),
     [
       ( "words_per_cluster",
-        Printf.sprintf "%.1f" out_banded.Dnastore.Pipeline.reconstruct_words_per_cluster );
+        Printf.sprintf "%.1f" out_default.Dnastore.Pipeline.reconstruct_words_per_cluster );
       ("peak_rss_mb", Printf.sprintf "%.1f" peak_rss);
+      ("cores", string_of_int (Domain.recommended_domain_count ()));
     ] )
 
 let () =
@@ -268,7 +292,8 @@ let () =
     (align_entries @ recon_entries @ pipeline_entries);
   let threshold = if !smoke then 0.8 else 1.0 in
   if speedup_120 < threshold then begin
-    Printf.eprintf "banded slower than full on %dnt align (%.2fx < %.2fx)\n" read_len speedup_120
+    Printf.eprintf "default kernel slower than full on %dnt align (%.2fx < %.2fx)\n" read_len
+      speedup_120
       threshold;
     exit 1
   end

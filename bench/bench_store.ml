@@ -1,7 +1,7 @@
 (* Store benchmarks: batched-get throughput against the domain pool,
-   LRU cache effectiveness, and the cost of compaction. Writes
-   BENCH_store.json so future changes to the store have a perf
-   trajectory to regress against.
+   cold get_batch latency (p50/p95), LRU cache effectiveness, and the
+   cost of compaction. Writes BENCH_store.json so future changes to the
+   store have a perf trajectory to regress against.
 
      dune exec bench/bench_store.exe                 # full run, writes
                                                      # BENCH_store.json in CWD
@@ -31,6 +31,12 @@ let time f =
   let t0 = Unix.gettimeofday () in
   let v = f () in
   (v, Unix.gettimeofday () -. t0)
+
+(* Nearest-rank percentile of a non-empty sample. *)
+let percentile q samples =
+  let a = Array.of_list samples in
+  Array.sort compare a;
+  a.(max 0 (min (Array.length a - 1) (int_of_float (ceil (q *. float_of_int (Array.length a))) - 1)))
 
 let ok_or_die label = function
   | Ok v -> v
@@ -86,6 +92,24 @@ let () =
         List.map (fun key -> (key, Store.get ~use_cache:false store ~key)) keys)
   in
   Printf.printf "sequential get x%d: %.3f s\n%!" n_objects sequential_s;
+  (* Cold get_batch latency, one key per batch: enough batches that the
+     p95 has ten samples beyond it (200 in a full run). *)
+  let latency_rounds = if !smoke then 1 else 25 in
+  let get_latencies =
+    List.concat
+      (List.init latency_rounds (fun _ ->
+           List.map
+             (fun key ->
+               let results, dt =
+                 time (fun () -> Store.get_batch ~domains:1 ~use_cache:false store [ key ])
+               in
+               List.iter (fun (key, r) -> ignore (ok_or_die ("get " ^ key) r)) results;
+               dt)
+             keys))
+  in
+  let get_p50 = percentile 0.5 get_latencies and get_p95 = percentile 0.95 get_latencies in
+  Printf.printf "cold get_batch latency (%d one-key batches): p50 %.1f ms, p95 %.1f ms\n%!"
+    (List.length get_latencies) (1000.0 *. get_p50) (1000.0 *. get_p95);
   let domain_counts = [ 1; 2; 4 ] in
   let batched =
     List.map
@@ -152,6 +176,13 @@ let () =
                ("s_total", Store.Json.Float sequential_s);
                ("speedup_vs_sequential", Store.Json.Float 1.0);
              ]
+           :: Store.Json.Obj
+                [
+                  ("name", Store.Json.String "get_batch/cold-latency");
+                  ("p50_s", Store.Json.Float get_p50);
+                  ("p95_s", Store.Json.Float get_p95);
+                  ("samples", Store.Json.Int (List.length get_latencies));
+                ]
            :: List.map
                 (fun (domains, s) ->
                   Store.Json.Obj

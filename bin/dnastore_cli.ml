@@ -159,7 +159,7 @@ let recon_backend_arg =
        & opt (enum [ ("auto", Dna.Alignment.Auto); ("full", Dna.Alignment.Full); ("banded", Dna.Alignment.Banded) ])
            Dna.Alignment.Auto
        & info [ "recon-backend" ] ~docv:"KERNEL"
-         ~doc:"Alignment kernel for reconstruction: $(b,auto), $(b,full) (reference matrix), or                $(b,banded) (Ukkonen band, exact via full-matrix fallback). Output is identical                for every choice.")
+         ~doc:"Alignment kernel for reconstruction: $(b,auto) or $(b,banded) (the bit-vector                kernel: Myers' algorithm with a traceback from its stored delta bits), or                $(b,full) (reference matrix). Output is identical for every choice.")
 
 let sig_kind_arg =
   Arg.(value & opt (enum [ ("qgram", Clustering.Signature.Qgram); ("wgram", Clustering.Signature.Wgram) ])

@@ -6,26 +6,38 @@
     is aligned against the evolving reference). Unit costs (match 0,
     mismatch/gap 1) make the optimal score equal to the edit distance.
 
-    Two kernels compute the alignment, selected per call or process-wide
-    via {!backend} (mirroring [Distance]'s kernel dispatch):
+    Three kernels compute the alignment, selected per call or
+    process-wide via {!backend} and [?band]:
 
     - [Full]: the classic O(la*lb) matrix, kept as the reference oracle;
-    - [Banded] (and [Auto]): a Ukkonen band of half-width [band] around
-      the main diagonal, O(la*band) cells. Banded results are exact: the
-      unit-cost matrix satisfies D[i][j] >= |i-j| everywhere, so whenever
-      the banded score is <= band every cell of an optimal path — and
-      every cell the greedy traceback consults — carries its true value,
-      making both the score and the script bit-identical to the full
-      matrix's; when the banded score exceeds the band (the optimal path
-      may have hit the band edge) the kernel falls back to a full-matrix
-      recompute ({!banded_fallbacks} counts these).
+    - the default ([Auto] or [Banded] without [?band]): Myers'
+      bit-vector algorithm with Hyyro's traceback. One blocked pass over
+      the read stores, per column and 63-row block, the vertical deltas
+      after the column and the horizontal deltas into it; the traceback
+      then reads every neighbor it needs from those bits. It is exact by
+      construction, not by a guard: the bit vectors encode every cell of
+      the full matrix (D[i][j] - D[i-1][j] and D[i][j] - D[i][j-1]), and
+      each traceback decision of the oracle is a test on cell
+      differences — diagonal iff D[i][j] - D[i-1][j-1] equals the move's
+      cost, delete iff D[i][j] - D[i-1][j] = 1 — so the same
+      tie-breaking (diagonal, then delete, then insert) reads the same
+      script off the bits. No band, no retry, no fallback;
+    - an explicit [?band]: a fixed Ukkonen band of that half-width around
+      the main diagonal, O(la*band) cells. Exact whenever the banded
+      score is <= band (the unit-cost matrix satisfies D[i][j] >= |i-j|,
+      so every cell of an optimal path, and every cell the greedy
+      traceback consults, then carries its true value); otherwise the
+      kernel falls back to a full-matrix recompute ({!banded_fallbacks}
+      counts these).
 
-    Both kernels run over a single flat [int array] drawn from a
-    per-domain scratch arena (domain-local storage, in the same spirit as
-    [Strand.eq_masks]' per-strand cache), so hot consensus loops — and
+    All kernels run over flat [int array]s drawn from a per-domain
+    scratch arena (domain-local storage), so hot consensus loops — and
     the [Par.map_array] reconstruction workers — never reallocate DP
     state between calls: no [Array.make_matrix] boxed rows, no per-call
-    garbage beyond the returned script. *)
+    garbage beyond the returned script. The bit-vector kernel reads the
+    reference's match masks off [Strand.eq_masks], built once per strand,
+    so every read aligned against one consensus round's reference shares
+    them. *)
 
 type op =
   | Match of Nucleotide.t
@@ -53,10 +65,10 @@ let set_default_backend b = Atomic.set default_backend b
 
 let current_default_backend () = Atomic.get default_backend
 
-(* [Auto] resolves to the banded kernel: its fallback guard makes it
-   exact, so the full matrix is only ever needed as an oracle or for
-   benchmarking. *)
-let use_banded = function
+(* [Auto] resolves to the fast kernels (bit-vector, or the explicit
+   band): both are exact, so the full matrix is only ever needed as an
+   oracle or for benchmarking. *)
+let use_fast = function
   | Some Full -> false
   | Some (Auto | Banded) -> true
   | None -> ( match Atomic.get default_backend with Full -> false | Auto | Banded -> true)
@@ -71,26 +83,39 @@ let reset_banded_fallbacks () = Atomic.set fallbacks 0
 
 (* ---------- Per-domain scratch arena ---------- *)
 
-(* One arena per domain: the DP cells and both strands' integer codes.
-   Buffers only grow; a reconstruction worker aligning thousands of reads
-   against references of similar length reuses the same three arrays for
-   its whole lifetime. Arrays handed out here must never escape a call. *)
+(* One arena per domain: the DP cells, both strands' integer codes, the
+   packed script, and the bit-vector kernel's four delta planes. Buffers
+   only grow; a reconstruction worker aligning thousands of reads
+   against references of similar length reuses the same arrays for its
+   whole lifetime. Arrays handed out here must never escape a call. *)
 type scratch = {
   mutable cells : int array;
   mutable codes_a : int array;
   mutable codes_b : int array;
   mutable ops : int array;
-  mutable last_a : Strand.t;
-      (* the strand whose codes currently sit in [codes_a]: consensus
-         rounds align one reference against every read, so the reference
-         fill is skipped on all but the first alignment of a round.
-         Physical equality implies equal contents (strands are
-         immutable), so a hit can never serve stale codes. *)
+  (* Bit-vector kernel, one word per (column j, block w) at [j*nw + w]:
+     vertical deltas after column j (bit r of block w is row
+     i = 63w + r + 1: [pv] set when D[i][j] - D[i-1][j] = +1, [mv] when
+     -1) and horizontal deltas into it ([ph]/[mh]: D[i][j] - D[i][j-1],
+     before Myers' shift). *)
+  mutable pv : int array;
+  mutable mv : int array;
+  mutable ph : int array;
+  mutable mh : int array;
 }
 
 let scratch_key =
   Domain.DLS.new_key (fun () ->
-      { cells = [||]; codes_a = [||]; codes_b = [||]; ops = [||]; last_a = Strand.empty })
+      {
+        cells = [||];
+        codes_a = [||];
+        codes_b = [||];
+        ops = [||];
+        pv = [||];
+        mv = [||];
+        ph = [||];
+        mh = [||];
+      })
 
 (* Capacity held by the calling domain's alignment arena, in array
    slots — lets allocation accounting (and tests) see that repeated
@@ -98,6 +123,7 @@ let scratch_key =
 let scratch_capacity_words () =
   let s = Domain.DLS.get scratch_key in
   Array.length s.cells + Array.length s.codes_a + Array.length s.codes_b + Array.length s.ops
+  + Array.length s.pv + Array.length s.mv + Array.length s.ph + Array.length s.mh
 
 let ensure arr n = if Array.length arr >= n then arr else Array.make (max n (2 * Array.length arr)) 0
 
@@ -318,9 +344,9 @@ let banded_dp cells ca cb la lb xlo xhi =
      are the bulk of the matrix and occupy exactly [i*w .. i*w + w) in
      storage, so they run with two counters bumped by constants instead
      of per-row max/min/multiply: [ib] the row base and [jb] the cb
-     index of the row's first column. At narrow bands (the score-first
-     window is ~d wide) the general row's edge logic costs as much as
-     its cells, so this is where the banded kernel earns its keep. *)
+     index of the row's first column. At narrow bands the general row's
+     edge logic costs as much as its cells, so this is where the banded
+     kernel earns its keep. *)
   let mid_lo = max 1 (1 - xlo) and mid_hi = min la (lb - xhi) in
   for i = 1 to min la (mid_lo - 1) do
     general_row i
@@ -408,17 +434,14 @@ let banded_traceback cells ca cb la lb xlo xhi ops =
   done;
   !k
 
-let banded_run s ca cb la lb xlo xhi =
-  let cells = ensure s.cells ((la + 1) * (xhi - xlo + 1)) in
-  s.cells <- cells;
-  banded_dp cells ca cb la lb xlo xhi
-
 (* Fixed symmetric band with full-matrix fallback: the [?band]
    contract. Exact whenever the score is <= band: the unit-cost matrix
    satisfies D[i][j] >= |i - j|, so a path costing <= band never leaves
    the window. *)
 let align_banded s ca cb la lb band =
-  let score = banded_run s ca cb la lb (-band) band in
+  let cells = ensure s.cells ((la + 1) * ((2 * band) + 1)) in
+  s.cells <- cells;
+  let score = banded_dp cells ca cb la lb (-band) band in
   if score > band then begin
     (* The optimal path may have left the band: recompute in full so the
        result stays exact (and identical to the oracle's). *)
@@ -432,66 +455,142 @@ let align_banded s ca cb la lb band =
     { packed_score = score; ops; off; lim = la + lb }
   end
 
-(* Score-first banding (edlib-style two-pass): with the exact distance d
-   already pinned by the bit-parallel Myers kernel, every cell (i, j) of
-   an optimal path satisfies both the prefix bound (cost so far
-   >= |j - i|) and the suffix bound (cost to come >= |c - (j - i)| for
-   c = lb - la), so |x| + |c - x| <= d for x = j - i: a window of width
-   ~d+1, half the classic Ukkonen band's 2d+1. The corner score then
-   equals d by construction; anything else would be a kernel bug, so it
-   falls back to the oracle rather than returning a wrong script. *)
-let align_scored s ca cb la lb d =
-  let c = lb - la in
-  let h = max 1 ((d - abs c) / 2) in
-  let score = banded_run s ca cb la lb (min 0 c - h) (max 0 c + h) in
-  if score <> d then begin
-    Atomic.incr fallbacks;
-    align_full s ca cb la lb
-  end
-  else begin
-    let ops = ensure s.ops (la + lb) in
-    s.ops <- ops;
-    let off = banded_traceback s.cells ca cb la lb (min 0 c - h) (max 0 c + h) ops in
-    { packed_score = score; ops; off; lim = la + lb }
-  end
+(* ---------- Bit-vector kernel (the default) ---------- *)
+
+let word_bits = Strand.mask_bits
+
+(* Myers' blocked pass (Hyyro's formulation, as in [Distance]'s
+   kernels) with the reference [a] as the pattern (rows) and the read
+   [b] as the text (columns), storing every column's delta words in the
+   arena's planes (layout at {!scratch}). Column 0 is D[i][0] = i:
+   all +1. A block's carry-in is the horizontal delta at its top
+   boundary row, +1 into block 0 (row 0 is D[0][j] = j), then each
+   block's top-row [ph]/[mh] bit into the next; [hp]/[hm] carry it as
+   two bits so the loop has no branch. *)
+let bitvector_dp s (a : Strand.t) (b : Strand.t) nw lb =
+  let size = nw * (lb + 1) in
+  let pv = ensure s.pv size and mv = ensure s.mv size in
+  let ph = ensure s.ph size and mh = ensure s.mh size in
+  s.pv <- pv;
+  s.mv <- mv;
+  s.ph <- ph;
+  s.mh <- mh;
+  let masks = Strand.eq_masks a in
+  for w = 0 to nw - 1 do
+    Array.unsafe_set pv w (-1);
+    Array.unsafe_set mv w 0
+  done;
+  for j = 1 to lb do
+    let base = Strand.unsafe_get_code b (j - 1) * nw in
+    let col = j * nw in
+    let hp = ref 1 and hm = ref 0 in
+    for w = 0 to nw - 1 do
+      let eq = Array.unsafe_get masks (base + w) in
+      let pvw = Array.unsafe_get pv (col - nw + w) and mvw = Array.unsafe_get mv (col - nw + w) in
+      let eq_in = eq lor !hm in
+      let xv = eq lor mvw in
+      let xh = (((eq_in land pvw) + pvw) lxor pvw) lor eq_in in
+      let phw = mvw lor lnot (xh lor pvw) in
+      let mhw = pvw land xh in
+      Array.unsafe_set ph (col + w) phw;
+      Array.unsafe_set mh (col + w) mhw;
+      let phs = (phw lsl 1) lor !hp and mhs = (mhw lsl 1) lor !hm in
+      Array.unsafe_set pv (col + w) (mhs lor lnot (xv lor phs));
+      Array.unsafe_set mv (col + w) (phs land xv);
+      hp := (phw lsr (word_bits - 1)) land 1;
+      hm := (mhw lsr (word_bits - 1)) land 1
+    done
+  done
+
+(* Traceback over the stored planes, with [full_traceback]'s tie order.
+   The oracle takes the diagonal when D[i-1][j-1] + cost = D[i][j], and
+   D[i][j] - D[i-1][j-1] = hd_j(i) + vd_{j-1}(i); otherwise a delete
+   when D[i-1][j] + 1 = D[i][j], i.e. vd_j(i) = +1; otherwise an insert.
+   On a match the diagonal always holds (unit-cost neighbors differ by
+   at most 1), so only mismatches read bits: row i's block and bit, then
+   the words of columns j and j - 1. The decisions need no cell value,
+   so the score is summed from the moves' costs. Ops are written
+   back-to-front exactly as in [full_traceback]. *)
+let bitvector_traceback (s : scratch) (a : Strand.t) (b : Strand.t) nw la lb =
+  let ops = ensure s.ops (la + lb) in
+  s.ops <- ops;
+  let pv = s.pv and mv = s.mv and ph = s.ph and mh = s.mh in
+  let k = ref (la + lb) in
+  let i = ref la and j = ref lb in
+  let score = ref 0 in
+  while !i > 0 && !j > 0 do
+    let xa = Strand.unsafe_get_code a (!i - 1) and xb = Strand.unsafe_get_code b (!j - 1) in
+    decr k;
+    if xa = xb then begin
+      Array.unsafe_set ops !k ((xa lsl 2) lor xb);
+      decr i;
+      decr j
+    end
+    else begin
+      let idx = (!j * nw) + ((!i - 1) / word_bits) and r = (!i - 1) mod word_bits in
+      incr score;
+      let hd = ((Array.unsafe_get ph idx lsr r) land 1) - ((Array.unsafe_get mh idx lsr r) land 1) in
+      let vd =
+        ((Array.unsafe_get pv (idx - nw) lsr r) land 1)
+        - ((Array.unsafe_get mv (idx - nw) lsr r) land 1)
+      in
+      if hd + vd = 1 then begin
+        Array.unsafe_set ops !k ((1 lsl 4) lor (xa lsl 2) lor xb);
+        decr i;
+        decr j
+      end
+      else if (Array.unsafe_get pv idx lsr r) land 1 = 1 then begin
+        Array.unsafe_set ops !k ((2 lsl 4) lor (xa lsl 2));
+        decr i
+      end
+      else begin
+        Array.unsafe_set ops !k ((3 lsl 4) lor xb);
+        decr j
+      end
+    end
+  done;
+  let score = !score + !i + !j in
+  while !i > 0 do
+    decr k;
+    Array.unsafe_set ops !k ((2 lsl 4) lor (Strand.unsafe_get_code a (!i - 1) lsl 2));
+    decr i
+  done;
+  while !j > 0 do
+    decr k;
+    Array.unsafe_set ops !k ((3 lsl 4) lor Strand.unsafe_get_code b (!j - 1));
+    decr j
+  done;
+  { packed_score = score; ops; off = !k; lim = la + lb }
+
+let align_bitvector s a b la lb =
+  let nw = (la + word_bits - 1) / word_bits in
+  if la > 0 && lb > 0 then bitvector_dp s a b nw lb;
+  bitvector_traceback s a b nw la lb
 
 (* ---------- Entry points ---------- *)
 
 let align_packed ?backend ?band (a : Strand.t) (b : Strand.t) : packed =
   let la = Strand.length a and lb = Strand.length b in
   let s = Domain.DLS.get scratch_key in
-  let ca =
-    if s.last_a == a then s.codes_a
-    else begin
-      let ca = ensure s.codes_a la in
+  match band with
+  | None when use_fast backend -> align_bitvector s a b la lb
+  | _ -> (
+      let ca = ensure s.codes_a la and cb = ensure s.codes_b lb in
       s.codes_a <- ca;
+      s.codes_b <- cb;
       fill_codes ca a la;
-      s.last_a <- a;
-      ca
-    end
-  in
-  let cb = ensure s.codes_b lb in
-  s.codes_b <- cb;
-  fill_codes cb b lb;
-  if use_banded backend then
-    match band with
-    | Some w ->
-        let w = max 1 w in
-        if abs (la - lb) > w then begin
-          (* the band cannot even reach the corner: the same "band too
-             narrow" signal as a score overflow, and counted as one *)
-          Atomic.incr fallbacks;
-          align_full s ca cb la lb
-        end
-        else align_banded s ca cb la lb w
-    | None ->
-        (* The bit-parallel Myers kernel pins the exact distance d in
-           O(la) words; [align_scored] then needs a single pass over a
-           ~d-wide window. Once that window covers most of the columns
-           the plain full matrix is cheaper. *)
-        let d = Distance.levenshtein a b in
-        if d + 2 >= lb then align_full s ca cb la lb else align_scored s ca cb la lb d
-  else align_full s ca cb la lb
+      fill_codes cb b lb;
+      match band with
+      | Some w when use_fast backend ->
+          let w = max 1 w in
+          if abs (la - lb) > w then begin
+            (* the band cannot even reach the corner: the same "band too
+               narrow" signal as a score overflow, and counted as one *)
+            Atomic.incr fallbacks;
+            align_full s ca cb la lb
+          end
+          else align_banded s ca cb la lb w
+      | _ -> align_full s ca cb la lb)
 
 let align ?backend ?band (a : Strand.t) (b : Strand.t) : t =
   let p = align_packed ?backend ?band a b in

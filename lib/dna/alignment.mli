@@ -1,14 +1,16 @@
 (** Needleman-Wunsch global pairwise alignment with traceback, at unit
     costs — the optimal score equals the edit distance.
 
-    Two kernels, selected per call or process-wide via {!backend}: the
-    full O(la*lb) matrix (the reference oracle) and a Ukkonen-banded
-    variant that computes O(la*band) cells and falls back to a full
-    recompute whenever the optimal path may have hit the band edge, so
-    scores and scripts are always exact and bit-identical to the
-    oracle's. Both kernels run over flat scratch arrays drawn from a
-    per-domain arena: parallel reconstruction workers never reallocate
-    DP state between calls. *)
+    Three kernels, selected per call or process-wide via {!backend} and
+    [?band]: the full O(la*lb) matrix (the reference oracle); the
+    default, Myers' bit-vector algorithm with a traceback read from its
+    stored delta vectors (O(ceil(la/63)*lb) words, every cell exact);
+    and, for an explicit [?band], a Ukkonen band that computes
+    O(la*band) cells and falls back to a full recompute whenever the
+    optimal path may have hit the band edge. Scores and scripts are
+    always exact and bit-identical to the oracle's. All kernels run over
+    flat scratch arrays drawn from a per-domain arena: parallel
+    reconstruction workers never reallocate DP state between calls. *)
 
 type op =
   | Match of Nucleotide.t
@@ -25,9 +27,11 @@ val gap_char : char
 (** '-', used by {!padded}. *)
 
 type backend =
-  | Auto  (** resolve to the banded kernel (its fallback guard keeps it exact) *)
+  | Auto  (** same as [Banded] *)
   | Full  (** the full DP matrix: the reference oracle, and a benchmark baseline *)
-  | Banded  (** Ukkonen band with full-matrix fallback at the band edge *)
+  | Banded
+      (** the bit-vector kernel, or with an explicit [?band] the Ukkonen
+          band with full-matrix fallback at the band edge *)
 
 val backend_name : backend -> string
 (** ["auto"], ["full"] or ["banded"]; benchmark/report labels. *)
@@ -47,27 +51,28 @@ val banded_fallbacks : unit -> int
 (** Process-wide count of banded runs that fell back to the full matrix
     because their score exceeded the band. Only an explicit [?band] can
     trigger this (a high rate signals it is too narrow for the
-    workload); the score-first default band never retries. *)
+    workload); the default bit-vector kernel has no band to exceed. *)
 
 val reset_banded_fallbacks : unit -> unit
 
 val scratch_capacity_words : unit -> int
 (** Capacity currently held by the calling domain's alignment arena
-    (DP cells, code buffers, op scripts), in array slots. Grow-only:
+    (DP cells, code buffers, op scripts, the bit-vector kernel's four
+    delta planes), in array slots. Grow-only:
     steady under a fixed workload once the largest alignment has been
     seen — the invariant pool-native reconstruction leans on. *)
 
 val align : ?backend:backend -> ?band:int -> Strand.t -> Strand.t -> t
 (** [align a b] computes an optimal global alignment, preferring
-    diagonal moves on ties so scripts stay maximally aligned. The result
-    (score and script) is identical for every backend and band: a banded
-    run is only accepted when its score is certifiably exact
-    (score <= band). With an explicit [band] (clamped to at least 1, the
-    half-width around the main diagonal), a failed attempt recomputes in
-    full; when [band] is omitted the kernel first pins the exact
-    distance d with the bit-parallel {!Distance.levenshtein} and runs a
-    single banded pass at band d — the minimal exact band — taking the
-    full matrix once that band covers half the columns. *)
+    diagonal moves on ties (then deletions, then insertions) so scripts
+    stay maximally aligned. The result (score and script) is identical
+    for every backend and band. When [band] is omitted, one blocked
+    Myers pass stores the vertical and horizontal delta bits of every
+    column and the traceback reads its decisions off them: exact by
+    construction, no retry. With an explicit [band] (clamped to at least
+    1, the half-width around the main diagonal), a banded run is only
+    accepted when its score is certifiably exact (score <= band); a
+    failed attempt recomputes in full. *)
 
 (** {2 Packed scripts — the zero-allocation hot path}
 

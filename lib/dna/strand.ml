@@ -7,7 +7,7 @@
     trimming allocate a small view record, never a copy of the bases.
     Alongside the packed words, every strand carries a lazily-built
     cache of per-base 63-bit match masks — the [Eq] vectors of Myers'
-    bit-parallel edit-distance kernels — derived directly from the
+    bit-parallel edit-distance and alignment kernels — derived from the
     packed words on first use and then reused across every pairwise
     comparison the strand participates in.
 

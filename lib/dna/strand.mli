@@ -41,7 +41,8 @@ val mask_bits : int
 (** Bits per match-mask word: 63, OCaml's native int width. *)
 
 val eq_masks : t -> int array
-(** Per-base match masks for the bit-parallel (Myers) distance kernels:
+(** Per-base match masks for the bit-parallel (Myers) distance and
+    alignment kernels:
     [ceil (length t / mask_bits)] words per base code, laid out
     base-major ([code * words + w]); bit [i] of word [w] is set when
     base [w * mask_bits + i] of the strand has that code. Built once on

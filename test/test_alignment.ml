@@ -1,10 +1,10 @@
-(* The banded alignment kernel is a perf knob, never a semantics knob:
-   on every input, every backend and every band must return the same
-   score (equal to the edit distance) and the same script, bit for bit.
-   These tests sweep random pairs — siblings at several error rates plus
-   unrelated strands — across lengths 0..300 and bands from degenerate
-   (1) through the score-first default to read-length, including the
-   explicit-band fallback path. *)
+(* The alignment kernels are a perf knob, never a semantics knob: on
+   every input, every backend and every band must return the same score
+   (equal to the edit distance) and the same script, bit for bit. These
+   tests sweep random pairs — siblings at several error rates plus
+   unrelated strands — across lengths 0..300 and every 63-bit block
+   boundary of the bit-vector default, and bands from degenerate (1) to
+   read-length, including the explicit-band fallback path. *)
 
 let seeds = [ 1; 7; 42 ]
 
@@ -36,6 +36,7 @@ let check_exact (a, b) =
     Alcotest.(check bool) (name ^ " script identical") true
       (g.Dna.Alignment.script = f.Dna.Alignment.script)
   in
+  same "default" (Dna.Alignment.align a b);
   same "banded(auto)" (Dna.Alignment.align ~backend:Dna.Alignment.Banded a b);
   same "auto" (Dna.Alignment.align ~backend:Dna.Alignment.Auto a b);
   List.iter
@@ -54,6 +55,30 @@ let test_banded_matches_oracle () =
       done)
     seeds
 
+(* The bit-vector kernel splits the reference into 63-row blocks: every
+   pair of lengths on both sides of one, two and three block edges
+   (plus the empty and one-base strands), with the read sharing the
+   reference's bases, reversed, or unrelated. *)
+let boundary_lengths = [ 0; 1; 62; 63; 64; 125; 126; 127; 189; 190 ]
+
+let test_block_boundaries () =
+  let rng = Dna.Rng.create 63 in
+  List.iter
+    (fun la ->
+      List.iter
+        (fun lb ->
+          let a = Dna.Strand.random rng la in
+          (* [a] itself when the lengths agree, else its prefix or [a]
+             extended by random bases *)
+          let shared =
+            if lb <= la then Dna.Strand.sub a ~pos:0 ~len:lb
+            else Dna.Strand.append a (Dna.Strand.random rng (lb - la))
+          in
+          List.iter check_exact
+            [ (a, shared); (a, Dna.Strand.rev shared); (a, Dna.Strand.random rng lb) ])
+        boundary_lengths)
+    boundary_lengths
+
 (* Tiny explicit bands force the fallback: the result is still exact and
    the process-wide counter records that the band was too narrow. *)
 let test_explicit_band_fallback_counted () =
@@ -67,10 +92,10 @@ let test_explicit_band_fallback_counted () =
   let g = Dna.Alignment.align ~backend:Dna.Alignment.Banded ~band:1 a b in
   Alcotest.(check int) "fallback result exact" f.Dna.Alignment.score g.Dna.Alignment.score;
   Alcotest.(check bool) "fallback counted" true (Dna.Alignment.banded_fallbacks () > 0);
-  (* the score-first default band never falls back *)
+  (* the bit-vector default has no band to overflow *)
   Dna.Alignment.reset_banded_fallbacks ();
   ignore (Dna.Alignment.align ~backend:Dna.Alignment.Banded a b);
-  Alcotest.(check int) "score-first path never retries" 0 (Dna.Alignment.banded_fallbacks ())
+  Alcotest.(check int) "default kernel never retries" 0 (Dna.Alignment.banded_fallbacks ())
 
 (* The packed script is the same alignment as the decoded one. *)
 let test_packed_roundtrip () =
@@ -317,12 +342,107 @@ let test_pool_arena_isolation_across_domains () =
         pooled)
     [ 1; 2; 4 ]
 
+(* ---- the bit-vector kernel's arena and domain safety ---- *)
+
+(* Sibling pairs shaped like the pipeline's: encoded-strand length, 6%
+   errors. *)
+let strand_len = Codec.Params.strand_nt Codec.Params.default
+
+(* The default kernel's delta planes live in the domain's arena: a
+   workload of similar lengths grows them on the first pass and then
+   reuses them, and never touches the DP matrix. Runs in a fresh domain
+   so the arena starts empty. *)
+let test_arena_capacity_flat () =
+  let rng = Dna.Rng.create 8 in
+  let pairs =
+    Array.init 400 (fun _ ->
+        let a = Dna.Strand.random rng strand_len in
+        (a, sibling rng ~error_rate:0.06 a))
+  in
+  let first, later =
+    Domain.join
+      (Domain.spawn (fun () ->
+           let pass () =
+             Array.iter (fun (a, b) -> ignore (Dna.Alignment.align_packed a b)) pairs;
+             Dna.Alignment.scratch_capacity_words ()
+           in
+           let first = pass () in
+           (first, List.init 5 (fun _ -> pass ()))))
+  in
+  List.iteri
+    (fun k c -> Alcotest.(check int) (Printf.sprintf "capacity flat after pass %d" (k + 2)) first c)
+    later;
+  (* grow-only doubling: each plane and the op buffer stay within twice
+     the largest pair's need, far below a (la+1)*(lb+1) matrix *)
+  let lb_max = Array.fold_left (fun m (_, b) -> max m (Dna.Strand.length b)) 0 pairs in
+  let nw = (strand_len + Dna.Strand.mask_bits - 1) / Dna.Strand.mask_bits in
+  let bound = 2 * ((4 * nw * (lb_max + 1)) + strand_len + lb_max) in
+  Alcotest.(check bool)
+    (Printf.sprintf "capacity %d within planes + ops bound %d" first bound)
+    true (first <= bound)
+
+(* Two domains align the same pairs at the same time (each strand's
+   match masks are shared between them): every script equals the
+   oracle's. *)
+let test_concurrent_domains_identical () =
+  let rng = Dna.Rng.create 31 in
+  let pairs = Array.init 60 (fun _ -> random_pair rng) in
+  let n = Array.length pairs in
+  let oracle = Array.map (fun (a, b) -> Dna.Alignment.align ~backend:Dna.Alignment.Full a b) pairs in
+  let got =
+    Dna.Par.map_array ~label:"test.align_domains" ~domains:2
+      (fun k ->
+        let a, b = pairs.(k mod n) in
+        Dna.Alignment.align a b)
+      (Array.init (2 * n) Fun.id)
+  in
+  Array.iteri
+    (fun k (g : Dna.Alignment.t) ->
+      let f = oracle.(k mod n) in
+      Alcotest.(check int) (Printf.sprintf "task %d score" k) f.Dna.Alignment.score g.score;
+      Alcotest.(check bool) (Printf.sprintf "task %d script" k) true (f.script = g.script))
+    got
+
+(* Pipeline-shaped clusters (coverage 10, 6% errors): pool-native NW on
+   the default kernel equals the full-matrix oracle at domains 1 and 2. *)
+let test_nw_pool_default_matches_full () =
+  let rng = Dna.Rng.create 7 in
+  let clusters =
+    Array.init 24 (fun _ ->
+        let clean = Dna.Strand.random rng strand_len in
+        Array.init 10 (fun _ -> sibling rng ~error_rate:0.06 clean))
+  in
+  let pools = Array.map (pool_of_reads rng) clusters in
+  let full =
+    Array.map
+      (fun (pool, idxs) ->
+        Reconstruction.Nw_consensus.reconstruct_pool ~backend:Dna.Alignment.Full
+          ~target_len:strand_len pool idxs)
+      pools
+  in
+  List.iter
+    (fun domains ->
+      let got =
+        Dna.Par.map_array ~label:"test.nw_default" ~domains
+          (fun (pool, idxs) ->
+            Reconstruction.Nw_consensus.reconstruct_pool ~target_len:strand_len pool idxs)
+          pools
+      in
+      Array.iteri
+        (fun i c ->
+          Alcotest.(check bool)
+            (Printf.sprintf "domains %d cluster %d = full" domains i)
+            true (Dna.Strand.equal full.(i) c))
+        got)
+    [ 1; 2 ]
+
 let () =
   Alcotest.run "alignment"
     [
       ( "exactness",
         [
           Alcotest.test_case "banded == full == levenshtein" `Quick test_banded_matches_oracle;
+          Alcotest.test_case "block boundaries == full" `Quick test_block_boundaries;
           Alcotest.test_case "explicit band fallback" `Quick test_explicit_band_fallback_counted;
           Alcotest.test_case "packed roundtrip" `Quick test_packed_roundtrip;
         ] );
@@ -338,5 +458,13 @@ let () =
           Alcotest.test_case "empty cluster refuses identically" `Quick test_pool_empty_cluster;
           Alcotest.test_case "arena isolation across domains" `Quick
             test_pool_arena_isolation_across_domains;
+        ] );
+      ( "bit-vector",
+        [
+          Alcotest.test_case "arena capacity flat" `Quick test_arena_capacity_flat;
+          Alcotest.test_case "concurrent domains identical scripts" `Quick
+            test_concurrent_domains_identical;
+          Alcotest.test_case "nw pool default == full across domains" `Quick
+            test_nw_pool_default_matches_full;
         ] );
     ]
