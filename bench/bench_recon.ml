@@ -1,7 +1,7 @@
-(* The reconstruction bench: times the alignment kernels (the full-matrix
-   oracle vs the default bit-vector kernel) and the whole consensus path
-   built on them, and writes BENCH_recon.json so future perf changes have
-   a trajectory to regress against.
+(* The reconstruction bench: times the alignment kernel (the bit-vector
+   kernel vs the test tree's full-matrix oracle) and the whole consensus
+   path built on it, and writes BENCH_recon.json so future perf changes
+   have a trajectory to regress against.
 
      dune exec bench/bench_recon.exe                 # full run, writes
                                                      # BENCH_recon.json in CWD
@@ -9,20 +9,19 @@
      dune exec bench/bench_recon.exe -- --smoke      # tiny budget: checks the
                                                      # harness and JSON, not timing
 
-   Three tiers, each with an exactness guard (the default kernel is only
-   a perf knob — any output difference is a bug and fails the bench):
+   Three tiers:
 
-   - align: ns/op for sibling pairs at 120nt and 300nt, per backend,
-     after checking both backends agree on every pair of lengths across
-     the 63-bit block boundaries;
-   - reconstruct: ns per whole-cluster NW consensus at coverage 5/10/20,
-     with byte-identical consensus required between backends;
-   - pipeline: end-to-end [Pipeline.run] stage timings per backend, with
-     identical decoded bytes required; the config records the default
-     run's minor words per cluster and peak RSS, and the machine's core
-     count.
+   - align: ns/op for sibling pairs at 120nt and 300nt, the oracle
+     ("full") beside the library kernel ("default"), after checking the
+     two return the same score and script on every pair of lengths
+     across the 63-bit block boundaries — any difference is a bug and
+     fails the bench;
+   - reconstruct: ns per whole-cluster NW consensus at coverage 5/10/20;
+   - pipeline: end-to-end [Pipeline.run] reconstruction and total
+     timings; the config records the run's minor words per cluster and
+     peak RSS, and the machine's core count.
 
-   The job also fails if the default kernel is slower than full on the
+   The job also fails if the kernel is slower than the oracle on the
    120nt align case (threshold 1.0, relaxed to 0.8 under --smoke where
    timings are noise). *)
 
@@ -61,9 +60,14 @@ let ns_per_op f =
 
 (* ---------- JSON ---------- *)
 
-type entry = { name : string; ns_per_op : float option; s_total : float option; speedup : float }
+type entry = {
+  name : string;
+  ns_per_op : float option;
+  s_total : float option;
+  speedup : float option;
+}
 
-let entry ?ns ?s ~speedup name = { name; ns_per_op = ns; s_total = s; speedup }
+let entry ?ns ?s ?speedup name = { name; ns_per_op = ns; s_total = s; speedup }
 
 let json_entry e =
   let fields =
@@ -74,7 +78,9 @@ let json_entry e =
     @ (match e.s_total with
       | Some s -> [ Printf.sprintf "\"s_total\": %.4f" s ]
       | None -> [])
-    @ [ Printf.sprintf "\"speedup_vs_full\": %.2f" e.speedup ]
+    @ (match e.speedup with
+      | Some x -> [ Printf.sprintf "\"speedup_vs_full\": %.2f" x ]
+      | None -> [])
   in
   "    {" ^ String.concat ", " fields ^ "}"
 
@@ -105,18 +111,18 @@ let sibling rng s =
 
 let check_same_alignment name (f : Dna.Alignment.t) (d : Dna.Alignment.t) =
   if f.Dna.Alignment.score <> d.Dna.Alignment.score || f.script <> d.script then begin
-    Printf.eprintf "backend disagreement on %s (full score %d, default score %d)\n" name
+    Printf.eprintf "kernel disagreement on %s (full score %d, default score %d)\n" name
       f.Dna.Alignment.score d.Dna.Alignment.score;
     exit 1
   end
 
-let align_full a b = Dna.Alignment.align ~backend:Dna.Alignment.Full a b
-let align_default a b = Dna.Alignment.align ~backend:Dna.Alignment.Auto a b
+let align_full = Oracle.align
+let align_default = Dna.Alignment.align
 
-(* Both backends on every pair of lengths on either side of the default
+(* Oracle and kernel on every pair of lengths on either side of the
    kernel's 63-row block edges, sibling and unrelated reads alike. *)
 let check_block_boundaries rng =
-  let lengths = [ 0; 1; 62; 63; 64; 125; 126; 127; 189; 190 ] in
+  let lengths = Oracle.block_boundary_lengths in
   List.iter
     (fun la ->
       List.iter
@@ -161,7 +167,7 @@ let run_align () =
     List.concat_map
       (fun (name, ns_full, ns_default, speedup) ->
         [
-          entry ~ns:ns_full ~speedup:1.0 (name ^ "/full");
+          entry ~ns:ns_full (name ^ "/full");
           entry ~ns:ns_default ~speedup (name ^ "/default");
         ])
       results
@@ -169,113 +175,61 @@ let run_align () =
   let speedup_120 = match results with (_, _, _, s) :: _ -> s | [] -> 0.0 in
   (entries, speedup_120)
 
-(* Tier 2: whole-cluster NW consensus per backend, coverage 5/10/20.
-   Every cluster's consensus must be byte-identical across backends. *)
+(* Tier 2: whole-cluster NW consensus, coverage 5/10/20. *)
 let run_reconstruct () =
   let n_clusters = if !smoke then 3 else 24 in
   let rng = Dna.Rng.create 42 in
-  List.concat_map
+  List.map
     (fun coverage ->
       let clusters =
         Array.init n_clusters (fun _ ->
             let clean = Dna.Strand.random rng read_len in
             Array.init coverage (fun _ -> sibling rng clean))
       in
-      Array.iter
-        (fun reads ->
-          let full =
-            Reconstruction.Nw_consensus.reconstruct ~backend:Dna.Alignment.Full
-              ~target_len:read_len reads
-          in
-          let default =
-            Reconstruction.Nw_consensus.reconstruct ~backend:Dna.Alignment.Auto
-              ~target_len:read_len reads
-          in
-          if not (Dna.Strand.equal full default) then begin
-            Printf.eprintf "consensus mismatch at coverage %d:\n  full    %s\n  default %s\n"
-              coverage (Dna.Strand.to_string full) (Dna.Strand.to_string default);
-            exit 1
-          end)
-        clusters;
-      let sweep backend () =
+      let sweep () =
         Array.iter
-          (fun reads ->
-            ignore (Reconstruction.Nw_consensus.reconstruct ~backend ~target_len:read_len reads))
+          (fun reads -> ignore (Reconstruction.Nw_consensus.reconstruct ~target_len:read_len reads))
           clusters
       in
-      let per_cluster ns = ns /. float_of_int n_clusters in
-      let ns_full = per_cluster (ns_per_op (sweep Dna.Alignment.Full)) in
-      let ns_default = per_cluster (ns_per_op (sweep Dna.Alignment.Auto)) in
-      let speedup = ns_full /. ns_default in
-      let name = Printf.sprintf "reconstruct/len-%d-cov-%d" read_len coverage in
-      Printf.printf "%-28s full %10.1f ns   default %10.1f ns   %5.1fx\n" name ns_full
-        ns_default speedup;
-      [
-        entry ~ns:ns_full ~speedup:1.0 (name ^ "/full");
-        entry ~ns:ns_default ~speedup (name ^ "/default");
-      ])
+      let ns = ns_per_op sweep /. float_of_int n_clusters in
+      let name = Printf.sprintf "reconstruct/len-%d-cov-%d/default" read_len coverage in
+      Printf.printf "%-36s %10.1f ns\n" name ns;
+      entry ~ns name)
     [ 5; 10; 20 ]
 
-(* Tier 3: the whole pipeline, differing only in the reconstruction
-   backend. Same seed on both runs, so the decoded bytes must match.
-   The default leg runs first so the VmHWM reading reflects it alone: the counter is a process-lifetime high-water mark, and
-   this tier runs before the others. *)
+(* Tier 3: the whole pipeline on its default stages. It runs before the
+   other tiers, so the VmHWM reading (a process-lifetime high-water
+   mark) reflects the pipeline alone. *)
 let run_pipeline () =
   let file_bytes = if !smoke then 128 else 2048 in
   let data =
     let r = Dna.Rng.create 11 in
     Bytes.init file_bytes (fun _ -> Char.chr (Dna.Rng.int r 256))
   in
-  let run backend =
-    let rng = Dna.Rng.create 5 in
-    let stages = Dnastore.Pipeline.default_stages ~error_rate () in
-    let pooled = Dnastore.Pipeline.default_pooled_stages ~recon_backend:backend () in
-    Dnastore.Pipeline.run ~stages ~pooled ~domains:1 rng data
-  in
-  let out_default = run Dna.Alignment.Auto in
+  let rng = Dna.Rng.create 5 in
+  let stages = Dnastore.Pipeline.default_stages ~error_rate () in
+  let pooled = Dnastore.Pipeline.default_pooled_stages () in
+  let out = Dnastore.Pipeline.run ~stages ~pooled ~domains:1 rng data in
   let peak_rss = Scale_stream.peak_rss_mb () in
-  let out_full = run Dna.Alignment.Full in
-  (match (out_full.Dnastore.Pipeline.file, out_default.Dnastore.Pipeline.file) with
-  | Some a, Some b when Bytes.equal a b -> ()
-  | _ ->
-      Printf.eprintf "pipeline decode differs between backends\n";
-      exit 1);
-  let tf = out_full.Dnastore.Pipeline.timings and tb = out_default.Dnastore.Pipeline.timings in
-  Printf.printf
-    "pipeline reconstruct: full %.3fs (p50 %.2f ms, p95 %.2f ms)  default %.3fs (p50 %.2f ms, p95 %.2f ms)  %.1fx\n"
-    tf.Dnastore.Pipeline.reconstruct_s
-    (1000.0 *. tf.Dnastore.Pipeline.reconstruct_p50_s)
-    (1000.0 *. tf.Dnastore.Pipeline.reconstruct_p95_s)
-    tb.Dnastore.Pipeline.reconstruct_s
-    (1000.0 *. tb.Dnastore.Pipeline.reconstruct_p50_s)
-    (1000.0 *. tb.Dnastore.Pipeline.reconstruct_p95_s)
-    (tf.Dnastore.Pipeline.reconstruct_s /. tb.Dnastore.Pipeline.reconstruct_s);
-  let stage name full default =
-    [
-      entry ~s:full ~speedup:1.0 (name ^ "/full");
-      entry ~s:default
-        ~speedup:(if default > 0.0 then full /. default else 1.0)
-        (name ^ "/default");
-    ]
-  in
-  ( stage "pipeline/reconstruct_s" tf.Dnastore.Pipeline.reconstruct_s
-      tb.Dnastore.Pipeline.reconstruct_s
-    @ stage "pipeline/reconstruct_p50_s" tf.Dnastore.Pipeline.reconstruct_p50_s
-      tb.Dnastore.Pipeline.reconstruct_p50_s
-  @ stage "pipeline/reconstruct_p95_s" tf.Dnastore.Pipeline.reconstruct_p95_s
-      tb.Dnastore.Pipeline.reconstruct_p95_s
-  @ stage "pipeline/total_s"
-      (Dnastore.Pipeline.total_s tf)
-      (Dnastore.Pipeline.total_s tb),
+  let t = out.Dnastore.Pipeline.timings in
+  Printf.printf "pipeline reconstruct: %.3fs (p50 %.2f ms, p95 %.2f ms)\n"
+    t.Dnastore.Pipeline.reconstruct_s
+    (1000.0 *. t.Dnastore.Pipeline.reconstruct_p50_s)
+    (1000.0 *. t.Dnastore.Pipeline.reconstruct_p95_s);
+  ( [
+      entry ~s:t.Dnastore.Pipeline.reconstruct_s "pipeline/reconstruct_s/default";
+      entry ~s:t.Dnastore.Pipeline.reconstruct_p50_s "pipeline/reconstruct_p50_s/default";
+      entry ~s:t.Dnastore.Pipeline.reconstruct_p95_s "pipeline/reconstruct_p95_s/default";
+      entry ~s:(Dnastore.Pipeline.total_s t) "pipeline/total_s/default";
+    ],
     [
       ( "words_per_cluster",
-        Printf.sprintf "%.1f" out_default.Dnastore.Pipeline.reconstruct_words_per_cluster );
+        Printf.sprintf "%.1f" out.Dnastore.Pipeline.reconstruct_words_per_cluster );
       ("peak_rss_mb", Printf.sprintf "%.1f" peak_rss);
       ("cores", string_of_int (Domain.recommended_domain_count ()));
     ] )
 
 let () =
-  Dna.Alignment.reset_banded_fallbacks ();
   let pipeline_entries, pipeline_extras = run_pipeline () in
   let align_entries, speedup_120 = run_align () in
   let recon_entries = run_reconstruct () in
@@ -285,7 +239,6 @@ let () =
       ([
          ("read_len", string_of_int read_len);
          ("error_rate", string_of_float error_rate);
-         ("banded_fallbacks", string_of_int (Dna.Alignment.banded_fallbacks ()));
          ("smoke", string_of_bool !smoke);
        ]
       @ pipeline_extras)

@@ -41,25 +41,25 @@ let w_sig' = Clustering.Signature.compute ~q:4 Clustering.Signature.Wgram strand
 
 let tests =
   [
-    (* The levenshtein/* cases pin the scalar DP oracle and the myers/*
-       cases the bit-parallel kernels (which [Auto] dispatch resolves
-       to), so one run shows the backend speedup side by side. *)
+    (* The levenshtein/* cases time the scalar DP oracle and the myers/*
+       cases the library's bit-parallel kernels, so one run shows the
+       kernel speedup side by side. *)
     Test.make ~name:"levenshtein/siblings-120nt" (Staged.stage (fun () ->
-        ignore (Dna.Distance.levenshtein ~backend:Scalar strand_a strand_b)));
+        ignore (Oracle.levenshtein strand_a strand_b)));
     Test.make ~name:"levenshtein/unrelated-120nt" (Staged.stage (fun () ->
-        ignore (Dna.Distance.levenshtein ~backend:Scalar strand_a strand_c)));
+        ignore (Oracle.levenshtein strand_a strand_c)));
     Test.make ~name:"levenshtein/siblings-300nt" (Staged.stage (fun () ->
-        ignore (Dna.Distance.levenshtein ~backend:Scalar long_a long_b)));
+        ignore (Oracle.levenshtein long_a long_b)));
     Test.make ~name:"levenshtein_leq/bound-40" (Staged.stage (fun () ->
-        ignore (Dna.Distance.levenshtein_leq ~backend:Scalar ~bound:40 strand_a strand_c)));
+        ignore (Oracle.levenshtein_leq ~bound:40 strand_a strand_c)));
     Test.make ~name:"myers/siblings-120nt" (Staged.stage (fun () ->
-        ignore (Dna.Distance.levenshtein ~backend:Bitparallel strand_a strand_b)));
+        ignore (Dna.Distance.levenshtein strand_a strand_b)));
     Test.make ~name:"myers/unrelated-120nt" (Staged.stage (fun () ->
-        ignore (Dna.Distance.levenshtein ~backend:Bitparallel strand_a strand_c)));
+        ignore (Dna.Distance.levenshtein strand_a strand_c)));
     Test.make ~name:"myers/siblings-300nt" (Staged.stage (fun () ->
-        ignore (Dna.Distance.levenshtein ~backend:Bitparallel long_a long_b)));
+        ignore (Dna.Distance.levenshtein long_a long_b)));
     Test.make ~name:"myers_leq/bound-40" (Staged.stage (fun () ->
-        ignore (Dna.Distance.levenshtein_leq ~backend:Bitparallel ~bound:40 strand_a strand_c)));
+        ignore (Dna.Distance.levenshtein_leq ~bound:40 strand_a strand_c)));
     Test.make ~name:"alignment/traceback-120nt" (Staged.stage (fun () ->
         ignore (Dna.Alignment.align strand_a strand_b)));
     Test.make ~name:"signature/qgram-compute" (Staged.stage (fun () ->

@@ -151,16 +151,6 @@ let make_slice_recon = function
         Reconstruction.Trellis.reconstruct ~target_len
           (Array.map (Dna.Strand_pool.get pool) idxs))
 
-(* The alignment-kernel knob is process-wide (it defaults every
-   [Dna.Alignment.align] call), so one flag covers NW consensus, the
-   ensemble's NW member, trellis rate estimation and POA alike. *)
-let recon_backend_arg =
-  Arg.(value
-       & opt (enum [ ("auto", Dna.Alignment.Auto); ("full", Dna.Alignment.Full); ("banded", Dna.Alignment.Banded) ])
-           Dna.Alignment.Auto
-       & info [ "recon-backend" ] ~docv:"KERNEL"
-         ~doc:"Alignment kernel for reconstruction: $(b,auto) or $(b,banded) (the bit-vector                kernel: Myers' algorithm with a traceback from its stored delta bits), or                $(b,full) (reference matrix). Output is identical for every choice.")
-
 let sig_kind_arg =
   Arg.(value & opt (enum [ ("qgram", Clustering.Signature.Qgram); ("wgram", Clustering.Signature.Wgram) ])
          Clustering.Signature.Qgram
@@ -256,9 +246,8 @@ let reconstruct_cmd =
   let clusters = Arg.(required & opt (some file) None & info [ "clusters"; "c" ] ~docv:"FILE" ~doc:"Clusters file (blank-line separated).") in
   let output = Arg.(required & opt (some string) None & info [ "output"; "o" ] ~docv:"FASTA" ~doc:"Consensus strands.") in
   let target = Arg.(required & opt (some int) None & info [ "length"; "l" ] ~docv:"NT" ~doc:"Expected strand length.") in
-  let run clusters_path output target algo recon_backend domains =
+  let run clusters_path output target algo domains =
     Dna.Par.set_default_domains domains;
-    Dna.Alignment.set_default_backend recon_backend;
     let groups = ref [] and cur = ref [] in
     List.iter
       (fun line ->
@@ -289,7 +278,7 @@ let reconstruct_cmd =
   in
   let domains = Arg.(value & opt int 1 & info [ "domains" ] ~docv:"N" ~doc:"Worker domains.") in
   Cmd.v (Cmd.info "reconstruct" ~doc:"Reconstruct original strands from clusters.")
-    Term.(const run $ clusters $ output $ target $ recon_arg $ recon_backend_arg $ domains)
+    Term.(const run $ clusters $ output $ target $ recon_arg $ domains)
 
 (* decode *)
 
@@ -323,10 +312,9 @@ let decode_cmd =
 let pipeline_cmd =
   let input = Arg.(required & opt (some file) None & info [ "input"; "i" ] ~docv:"FILE" ~doc:"Input file.") in
   let output = Arg.(required & opt (some string) None & info [ "output"; "o" ] ~docv:"FILE" ~doc:"Recovered file.") in
-  let run input output layout payload data_cols parity channel error_rate coverage algo kind
-      recon_backend seed domains =
+  let run input output layout payload data_cols parity channel error_rate coverage algo kind seed
+      domains =
     Dna.Par.set_default_domains domains;
-    Dna.Alignment.set_default_backend recon_backend;
     let params = params_of ~payload ~data_cols ~parity in
     let rng = Dna.Rng.create seed in
     let stages =
@@ -373,7 +361,7 @@ let pipeline_cmd =
   Cmd.v (Cmd.info "pipeline" ~doc:"Run the full encode-simulate-cluster-reconstruct-decode pipeline.")
     Term.(const run $ input $ output $ layout_arg $ payload_arg $ data_cols_arg $ parity_arg
           $ channel_arg $ error_rate_arg $ coverage_arg $ recon_arg $ sig_kind_arg
-          $ recon_backend_arg $ seed_arg $ domains)
+          $ seed_arg $ domains)
 
 (* fountain-encode / fountain-decode *)
 
@@ -926,7 +914,7 @@ let store_cmd =
               "Serve whatever survives when the object's shard is damaged or scrub marked it \
                degraded, instead of failing. Exit 2 signals a partial (non-exact) read.")
     in
-    let run dir key output domains recon_backend degraded =
+    let run dir key output domains degraded =
       let store = opened dir in
       if degraded then begin
         let p = or_die (Store.get_partial store ~key) in
@@ -944,7 +932,7 @@ let store_cmd =
         end
       end
       else
-        match Store.get_batch ~domains ~recon_backend store [ key ] with
+        match Store.get_batch ~domains store [ key ] with
         | [ (_, Ok bytes) ] ->
             write_binary output bytes;
             Printf.printf "recovered %s (%d bytes)\n" key (Bytes.length bytes)
@@ -952,7 +940,7 @@ let store_cmd =
         | _ -> assert false
     in
     Cmd.v (Cmd.info "get" ~doc:"Sequence, reconstruct and decode one object.")
-      Term.(const run $ dir_arg $ key_arg $ output $ domains $ recon_backend_arg $ degraded)
+      Term.(const run $ dir_arg $ key_arg $ output $ domains $ degraded)
   in
   let rm_cmd =
     let run dir key =

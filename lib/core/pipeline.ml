@@ -79,20 +79,18 @@ let cluster_pool_default ?(kind = Clustering.Signature.Qgram)
       let result = Clustering.Cluster.run_scaled params rng reads in
       result.Clustering.Cluster.clusters
 
-let reconstruct_nw_pool ?backend ~target_len pool idxs =
-  Reconstruction.Nw_consensus.reconstruct_pool ?backend ~target_len pool idxs
-
 let default_stages ?(error_rate = 0.06) ?(coverage = 10) () =
   {
     channel = Simulator.Iid_channel.create_rate ~error_rate;
     sequencing = Simulator.Sequencer.default_params ~coverage:(Simulator.Sequencer.Fixed coverage);
   }
 
-let default_pooled_stages ?recon_backend () =
+let default_pooled_stages () =
   {
     cluster_pool = cluster_pool_default ();
     reconstruct_pool =
-      (fun ~target_len pool idxs -> reconstruct_nw_pool ?backend:recon_backend ~target_len pool idxs);
+      (fun ~target_len pool idxs ->
+        Reconstruction.Nw_consensus.reconstruct_pool ~target_len pool idxs);
   }
 
 (* Largest clusters first: when two clusters claim the same column index,

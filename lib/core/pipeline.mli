@@ -6,7 +6,10 @@
     from the channel to the consensus. Clusters are index slices, and
     reconstruction runs on [(pool, index)] views with per-domain
     scratch. The channel and sequencing plan come from {!stages};
-    clustering and reconstruction from {!pooled_stages}.
+    clustering and reconstruction from {!pooled_stages}. The default
+    reconstruction ({!Reconstruction.Nw_consensus}) runs on the single
+    bit-vector kernel of {!Dna.Alignment}; no entry point takes a
+    kernel choice.
 
     [run] never raises: crashing stages are caught and degraded, decode
     failures surface as a structured outcome, and the [partial] record
@@ -72,22 +75,13 @@ val cluster_pool_default :
     data, then the scaled merge engine ({!Clustering.Cluster.run_scaled});
     clusters come back as index slices into the arena. *)
 
-val reconstruct_nw_pool :
-  ?backend:Dna.Alignment.backend -> target_len:int -> Dna.Strand_pool.t -> int array ->
-  Dna.Strand.t
-(** Needleman-Wunsch consensus of a cluster index-slice of an arena
-    pool. [backend] selects the pairwise alignment kernel; the consensus
-    is identical for every choice (see {!Dna.Alignment.align}). *)
-
 val default_stages : ?error_rate:float -> ?coverage:int -> unit -> stages
 (** i.i.d. channel at 6%, fixed coverage 10. *)
 
-val default_pooled_stages :
-  ?recon_backend:Dna.Alignment.backend -> unit -> pooled_stages
+val default_pooled_stages : unit -> pooled_stages
 (** Auto-configured q-gram clustering ({!cluster_pool_default}) and
-    Needleman-Wunsch reconstruction ({!reconstruct_nw_pool}) running on
-    [recon_backend] (default: the process-wide
-    {!Dna.Alignment.current_default_backend}). *)
+    Needleman-Wunsch reconstruction
+    ({!Reconstruction.Nw_consensus.reconstruct_pool}). *)
 
 val percentile : float array -> float -> float
 (** [percentile xs q] is the nearest-rank [q]-quantile ([0 < q <= 1]) of

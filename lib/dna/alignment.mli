@@ -1,16 +1,13 @@
 (** Needleman-Wunsch global pairwise alignment with traceback, at unit
     costs — the optimal score equals the edit distance.
 
-    Three kernels, selected per call or process-wide via {!backend} and
-    [?band]: the full O(la*lb) matrix (the reference oracle); the
-    default, Myers' bit-vector algorithm with a traceback read from its
-    stored delta vectors (O(ceil(la/63)*lb) words, every cell exact);
-    and, for an explicit [?band], a Ukkonen band that computes
-    O(la*band) cells and falls back to a full recompute whenever the
-    optimal path may have hit the band edge. Scores and scripts are
-    always exact and bit-identical to the oracle's. All kernels run over
-    flat scratch arrays drawn from a per-domain arena: parallel
-    reconstruction workers never reallocate DP state between calls. *)
+    One kernel: Myers' bit-vector algorithm with a traceback read from
+    its stored delta vectors (O(ceil(la/63)*lb) words, every cell
+    exact). Scores and scripts are bit-identical to the classic
+    full-matrix DP, which the test tree keeps as an oracle. The kernel
+    runs over flat scratch arrays drawn from a per-domain arena:
+    parallel reconstruction workers never reallocate DP state between
+    calls. *)
 
 type op =
   | Match of Nucleotide.t
@@ -26,53 +23,18 @@ type t = {
 val gap_char : char
 (** '-', used by {!padded}. *)
 
-type backend =
-  | Auto  (** same as [Banded] *)
-  | Full  (** the full DP matrix: the reference oracle, and a benchmark baseline *)
-  | Banded
-      (** the bit-vector kernel, or with an explicit [?band] the Ukkonen
-          band with full-matrix fallback at the band edge *)
-
-val backend_name : backend -> string
-(** ["auto"], ["full"] or ["banded"]; benchmark/report labels. *)
-
-val set_default_backend : backend -> unit
-(** Set the process-wide backend used when [?backend] is omitted. The
-    initial default is [Auto]. *)
-
-val current_default_backend : unit -> backend
-
-val default_band : int
-(** Default half-width for band-limited consumers that want a fixed
-    band (e.g. {!Poa.add}): 16, comfortably above the edit distance of
-    sibling reads at realistic sequencing error rates. *)
-
-val banded_fallbacks : unit -> int
-(** Process-wide count of banded runs that fell back to the full matrix
-    because their score exceeded the band. Only an explicit [?band] can
-    trigger this (a high rate signals it is too narrow for the
-    workload); the default bit-vector kernel has no band to exceed. *)
-
-val reset_banded_fallbacks : unit -> unit
-
 val scratch_capacity_words : unit -> int
 (** Capacity currently held by the calling domain's alignment arena
-    (DP cells, code buffers, op scripts, the bit-vector kernel's four
-    delta planes), in array slots. Grow-only:
-    steady under a fixed workload once the largest alignment has been
-    seen — the invariant pool-native reconstruction leans on. *)
+    (the op script and the kernel's four delta planes), in array slots.
+    Grow-only: steady under a fixed workload once the largest alignment
+    has been seen — the invariant pool-native reconstruction leans on. *)
 
-val align : ?backend:backend -> ?band:int -> Strand.t -> Strand.t -> t
+val align : Strand.t -> Strand.t -> t
 (** [align a b] computes an optimal global alignment, preferring
     diagonal moves on ties (then deletions, then insertions) so scripts
-    stay maximally aligned. The result (score and script) is identical
-    for every backend and band. When [band] is omitted, one blocked
-    Myers pass stores the vertical and horizontal delta bits of every
-    column and the traceback reads its decisions off them: exact by
-    construction, no retry. With an explicit [band] (clamped to at least
-    1, the half-width around the main diagonal), a banded run is only
-    accepted when its score is certifiably exact (score <= band); a
-    failed attempt recomputes in full. *)
+    stay maximally aligned. One blocked Myers pass stores the vertical
+    and horizontal delta bits of every column and the traceback reads
+    its decisions off them: exact by construction, no retry. *)
 
 (** {2 Packed scripts — the zero-allocation hot path}
 
@@ -91,11 +53,10 @@ type packed = {
   lim : int;  (** one past the last op *)
 }
 
-val align_packed : ?backend:backend -> ?band:int -> Strand.t -> Strand.t -> packed
-(** Exactly {!align} (same dispatch, same script, same exactness
-    guarantees) without building the [op list]: ops are packed ints in
-    [ops.(off .. lim - 1)], forward order, decoded by {!packed_kind} /
-    {!packed_a} / {!packed_b}. *)
+val align_packed : Strand.t -> Strand.t -> packed
+(** Exactly {!align} (same kernel, same script) without building the
+    [op list]: ops are packed ints in [ops.(off .. lim - 1)], forward
+    order, decoded by {!packed_kind} / {!packed_a} / {!packed_b}. *)
 
 val packed_kind : int -> int
 (** 0 = match, 1 = substitute, 2 = delete, 3 = insert. *)

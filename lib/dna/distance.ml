@@ -1,26 +1,18 @@
 (** Sequence distances.
 
     Levenshtein (edit) distance is the similarity metric of the whole
-    pipeline (Section II-E), and also its main computational cost. Two
-    families of kernels compute it:
-
-    - a plain two-row scalar dynamic program (the reference oracle), in
-      full, banded and thresholded variants;
-    - Myers' 1999 bit-parallel algorithm, which packs a whole DP column
-      into machine words and advances it in O(ceil(m/63) * n) word
-      operations: a single-word kernel for patterns up to 63 nt, a
-      blocked multi-word kernel for longer strands, and a
-      banded/thresholded variant with Hyyro's block cutoff that only
-      advances the word-blocks the Ukkonen band can still reach — the
-      workhorse behind clustering's merge test.
-
-    [levenshtein], [levenshtein_banded] and [levenshtein_leq] dispatch
-    between the families via the [backend] argument (default: the
-    process-wide backend, initially [Auto] = bit-parallel), so call
-    sites pick up the fast kernels without signature changes. The
-    bit-parallel kernels read the pattern's packed per-base match masks
-    off [Strand.eq_masks], built once per strand and reused across every
-    comparison. *)
+    pipeline (Section II-E), and also its main computational cost. One
+    kernel family computes it: Myers' 1999 bit-parallel algorithm, which
+    packs a whole DP column into machine words and advances it in
+    O(ceil(m/63) * n) word operations — a single-word kernel for
+    patterns up to 63 nt, a blocked multi-word kernel for longer
+    strands, and a thresholded variant with Hyyro's block cutoff that
+    only advances the word-blocks the Ukkonen band can still reach, the
+    workhorse behind clustering's merge test. The kernels read the
+    pattern's packed per-base match masks off [Strand.eq_masks], built
+    once per strand and reused across every comparison. The scalar
+    two-row DP they are checked against lives in the test tree's oracle
+    library. *)
 
 let hamming a b =
   let n = Strand.length a in
@@ -30,121 +22,6 @@ let hamming a b =
     if Strand.unsafe_get_code a i <> Strand.unsafe_get_code b i then incr d
   done;
   !d
-
-(* ---------- Backend selection ---------- *)
-
-type backend = Auto | Scalar | Bitparallel
-
-let backend_name = function Auto -> "auto" | Scalar -> "scalar" | Bitparallel -> "bitparallel"
-
-let default_backend = Atomic.make Auto
-
-let set_default_backend b = Atomic.set default_backend b
-
-let current_default_backend () = Atomic.get default_backend
-
-(* [Auto] resolves to the bit-parallel kernels: they are exact, so the
-   scalar DP is only ever needed as an oracle or for benchmarking. *)
-let use_bitparallel = function
-  | Some Scalar -> false
-  | Some (Auto | Bitparallel) -> true
-  | None -> ( match Atomic.get default_backend with Scalar -> false | Auto | Bitparallel -> true)
-
-(* ---------- Scalar reference kernels (two-row DP) ---------- *)
-
-let scalar_levenshtein a b =
-  let la = Strand.length a and lb = Strand.length b in
-  if la = 0 then lb
-  else if lb = 0 then la
-  else begin
-    let prev = ref (Array.init (lb + 1) (fun j -> j)) in
-    let cur = ref (Array.make (lb + 1) 0) in
-    for i = 1 to la do
-      let p = !prev and c = !cur in
-      c.(0) <- i;
-      let ca = Strand.unsafe_get_code a (i - 1) in
-      for j = 1 to lb do
-        let cost = if ca = Strand.unsafe_get_code b (j - 1) then 0 else 1 in
-        c.(j) <- min (min (c.(j - 1) + 1) (p.(j) + 1)) (p.(j - 1) + cost)
-      done;
-      (* Swap the row refs instead of blitting: the finished row becomes
-         [prev] and the stale one is overwritten next iteration. *)
-      prev := c;
-      cur := p
-    done;
-    !prev.(lb)
-  end
-
-(* Ukkonen band of half-width [band] around the diagonal. Exact whenever
-   the true distance is <= band; an upper bound otherwise. *)
-let scalar_levenshtein_banded ~band a b =
-  let la = Strand.length a and lb = Strand.length b in
-  if abs (la - lb) > band then max la lb (* cheap upper bound; outside band *)
-  else begin
-    let inf = max_int / 2 in
-    let prev = ref (Array.make (lb + 1) inf) in
-    let cur = ref (Array.make (lb + 1) inf) in
-    for j = 0 to min band lb do
-      !prev.(j) <- j
-    done;
-    for i = 1 to la do
-      let p = !prev and c = !cur in
-      Array.fill c 0 (lb + 1) inf;
-      let lo = max 0 (i - band) and hi = min lb (i + band) in
-      if lo = 0 then c.(0) <- i;
-      let ca = Strand.unsafe_get_code a (i - 1) in
-      for j = max 1 lo to hi do
-        let cost = if ca = Strand.unsafe_get_code b (j - 1) then 0 else 1 in
-        let best = p.(j - 1) + cost in
-        let best = if c.(j - 1) + 1 < best then c.(j - 1) + 1 else best in
-        let best = if p.(j) + 1 < best then p.(j) + 1 else best in
-        c.(j) <- best
-      done;
-      prev := c;
-      cur := p
-    done;
-    !prev.(lb)
-  end
-
-(* [scalar_levenshtein_leq ~bound a b] is [Some d] when the edit distance
-   [d] is <= bound, [None] otherwise. Runs the DP inside a band of width
-   2*bound+1 and abandons a row whose minimum already exceeds the bound. *)
-let scalar_levenshtein_leq ~bound a b =
-  let la = Strand.length a and lb = Strand.length b in
-  if bound < 0 then None
-  else if abs (la - lb) > bound then None
-  else begin
-    let inf = max_int / 2 in
-    let prev = ref (Array.make (lb + 1) inf) in
-    let cur = ref (Array.make (lb + 1) inf) in
-    for j = 0 to min bound lb do
-      !prev.(j) <- j
-    done;
-    let exceeded = ref false in
-    let i = ref 1 in
-    while (not !exceeded) && !i <= la do
-      let p = !prev and c = !cur in
-      Array.fill c 0 (lb + 1) inf;
-      let lo = max 0 (!i - bound) and hi = min lb (!i + bound) in
-      if lo = 0 then c.(0) <- !i;
-      let ca = Strand.unsafe_get_code a (!i - 1) in
-      let row_min = ref inf in
-      for j = max 1 lo to hi do
-        let cost = if ca = Strand.unsafe_get_code b (j - 1) then 0 else 1 in
-        let best = p.(j - 1) + cost in
-        let best = if c.(j - 1) + 1 < best then c.(j - 1) + 1 else best in
-        let best = if p.(j) + 1 < best then p.(j) + 1 else best in
-        c.(j) <- best;
-        if best < !row_min then row_min := best
-      done;
-      if lo = 0 && c.(0) < !row_min then row_min := c.(0);
-      if !row_min > bound then exceeded := true;
-      prev := c;
-      cur := p;
-      incr i
-    done;
-    if !exceeded || !prev.(lb) > bound then None else Some !prev.(lb)
-  end
 
 (* ---------- Bit-parallel kernels (Myers 1999 / Hyyro 2003) ----------
 
@@ -280,11 +157,11 @@ let myers_bounded masks nw m b n ~bound =
   done;
   if !exceeded then None else Some !score_m
 
-(* ---------- Bit-parallel dispatch ---------- *)
+(* ---------- Entry points ---------- *)
 
 (* The shorter strand becomes the pattern: fewest words, and its cached
    masks are the ones reused when one strand is compared against many. *)
-let bit_levenshtein a b =
+let levenshtein a b =
   let la = Strand.length a and lb = Strand.length b in
   if la = 0 then lb
   else if lb = 0 then la
@@ -295,7 +172,7 @@ let bit_levenshtein a b =
     else myers_blocked masks ((m + word_bits - 1) / word_bits) m t n
   end
 
-let bit_levenshtein_leq ~bound a b =
+let levenshtein_leq ~bound a b =
   let la = Strand.length a and lb = Strand.length b in
   if bound < 0 then None
   else if abs (la - lb) > bound then None
@@ -308,29 +185,3 @@ let bit_levenshtein_leq ~bound a b =
     | Some d when d <= bound -> Some d
     | Some _ | None -> None
   end
-
-(* ---------- Public entry points ---------- *)
-
-let levenshtein ?backend a b =
-  if use_bitparallel backend then bit_levenshtein a b else scalar_levenshtein a b
-
-let levenshtein_banded ?backend ~band a b =
-  if use_bitparallel backend then
-    match bit_levenshtein_leq ~bound:band a b with
-    | Some d -> d
-    | None -> max (Strand.length a) (Strand.length b) (* upper bound; outside band *)
-  else scalar_levenshtein_banded ~band a b
-
-let levenshtein_leq ?backend ~bound a b =
-  if use_bitparallel backend then bit_levenshtein_leq ~bound a b
-  else scalar_levenshtein_leq ~bound a b
-
-(* L1 distance between integer vectors; used by w-gram signatures. *)
-let l1 a b =
-  let n = Array.length a in
-  if n <> Array.length b then invalid_arg "Distance.l1: unequal lengths";
-  let d = ref 0 in
-  for i = 0 to n - 1 do
-    d := !d + abs (a.(i) - b.(i))
-  done;
-  !d

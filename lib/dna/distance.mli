@@ -1,44 +1,20 @@
 (** Sequence distances. Levenshtein (edit) distance is the similarity
-    metric of the whole pipeline and its main computational cost; it is
-    served by two kernel families — Myers' bit-parallel algorithm
-    (single-word, blocked, and thresholded-with-cutoff variants) and the
-    two-row scalar dynamic program kept as the reference oracle —
-    selected per call or process-wide via {!backend}. *)
-
-type backend =
-  | Auto  (** resolve to the bit-parallel kernels (they are exact) *)
-  | Scalar  (** the two-row DP: the reference oracle, and a benchmark baseline *)
-  | Bitparallel  (** Myers' bit-vector kernels over [Strand.eq_masks] *)
-
-val backend_name : backend -> string
-(** ["auto"], ["scalar"] or ["bitparallel"]; benchmark/report labels. *)
-
-val set_default_backend : backend -> unit
-(** Set the process-wide backend used when [?backend] is omitted. The
-    initial default is [Auto]. *)
-
-val current_default_backend : unit -> backend
+    metric of the whole pipeline and its main computational cost; one
+    kernel family serves it — Myers' bit-parallel algorithm
+    (single-word, blocked, and thresholded-with-cutoff variants). The
+    scalar two-row DP it is checked against lives in the test tree's
+    oracle library. *)
 
 val hamming : Strand.t -> Strand.t -> int
 (** Positions that differ; raises [Invalid_argument] on unequal
     lengths. *)
 
-val levenshtein : ?backend:backend -> Strand.t -> Strand.t -> int
-(** Exact edit distance. Bit-parallel backends run Myers' single-word
-    kernel when the shorter strand fits 63 nt and the blocked multi-word
-    kernel otherwise; [~backend:Scalar] forces the two-row DP oracle. *)
+val levenshtein : Strand.t -> Strand.t -> int
+(** Exact edit distance: Myers' single-word kernel when the shorter
+    strand fits 63 nt, the blocked multi-word kernel otherwise. *)
 
-val levenshtein_banded : ?backend:backend -> band:int -> Strand.t -> Strand.t -> int
-(** Ukkonen band of half-width [band]: exact whenever the true distance
-    is at most [band], an upper bound otherwise. (The two backends may
-    return different — both valid — upper bounds outside the band.) *)
-
-val levenshtein_leq : ?backend:backend -> bound:int -> Strand.t -> Strand.t -> int option
+val levenshtein_leq : bound:int -> Strand.t -> Strand.t -> int option
 (** [Some d] when the edit distance [d] is at most [bound], [None]
     otherwise; abandons the computation as soon as the bound is provably
-    exceeded. The workhorse of clustering's merge test — bit-parallel it
-    advances only the 63-bit blocks the band has reached (Hyyro's
-    cutoff). *)
-
-val l1 : int array -> int array -> int
-(** L1 norm between equal-length integer vectors (w-gram signatures). *)
+    exceeded. The workhorse of clustering's merge test — it advances
+    only the 63-bit blocks the band has reached (Hyyro's cutoff). *)

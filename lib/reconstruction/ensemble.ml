@@ -44,11 +44,10 @@ let reconstruct_fallback ?primary ~target_len (reads : Dna.Strand.t array) :
       attempts
   end
 
-let reconstruct ?backend ?lookahead ?refinements ~target_len (reads : Dna.Strand.t array) :
-    Dna.Strand.t =
+let reconstruct ?lookahead ?refinements ~target_len (reads : Dna.Strand.t array) : Dna.Strand.t =
   let bma = Bma.reconstruct ?lookahead ~target_len reads in
   let dbma = Bma.reconstruct_double ?lookahead ~target_len reads in
-  let nw = Nw_consensus.reconstruct ?backend ?refinements ~target_len reads in
+  let nw = Nw_consensus.reconstruct ?refinements ~target_len reads in
   Dna.Strand.init_codes target_len (fun i ->
       let a = Dna.Strand.get_code bma i
       and b = Dna.Strand.get_code dbma i
@@ -101,11 +100,11 @@ let reconstruct_fallback_pool ?primary ~target_len pool (idxs : int array) :
       attempts
   end
 
-let reconstruct_pool ?backend ?lookahead ?refinements ~target_len pool (idxs : int array) :
+let reconstruct_pool ?lookahead ?refinements ~target_len pool (idxs : int array) :
     Dna.Strand.t =
   let bma = Bma.reconstruct_pool ?lookahead ~target_len pool idxs in
   let dbma = Bma.reconstruct_double_pool ?lookahead ~target_len pool idxs in
-  let nw = Nw_consensus.reconstruct_pool ?backend ?refinements ~target_len pool idxs in
+  let nw = Nw_consensus.reconstruct_pool ?refinements ~target_len pool idxs in
   Dna.Strand.init_codes target_len (fun i ->
       let a = Dna.Strand.get_code bma i
       and b = Dna.Strand.get_code dbma i

@@ -13,29 +13,23 @@ type outcome = {
 }
 
 val reconstruct_full :
-  ?backend:Dna.Alignment.backend ->
-  ?band:int ->
   ?refinements:int ->
   target_len:int ->
   Dna.Strand.t array ->
   outcome
-(** Default 2 refinement rounds. [backend]/[band] select the pairwise
-    alignment kernel (see {!Dna.Alignment.align}); the consensus is
-    identical for every choice. Refinement rounds whose vote reproduces
-    the reference reuse the round's column profile instead of realigning
-    the cluster. Raises [Invalid_argument] on an empty cluster. *)
+(** Default 2 refinement rounds, each aligning every read against the
+    reference with {!Dna.Alignment.align_packed}. Refinement rounds
+    whose vote reproduces the reference reuse the round's column profile
+    instead of realigning the cluster. Raises [Invalid_argument] on an
+    empty cluster. *)
 
 val reconstruct :
-  ?backend:Dna.Alignment.backend ->
-  ?band:int ->
   ?refinements:int ->
   target_len:int ->
   Dna.Strand.t array ->
   Dna.Strand.t
 
 val reconstruct_pool_full :
-  ?backend:Dna.Alignment.backend ->
-  ?band:int ->
   ?refinements:int ->
   target_len:int ->
   Dna.Strand_pool.t ->
@@ -50,8 +44,6 @@ val reconstruct_pool_full :
     non-empty read. *)
 
 val reconstruct_pool :
-  ?backend:Dna.Alignment.backend ->
-  ?band:int ->
   ?refinements:int ->
   target_len:int ->
   Dna.Strand_pool.t ->

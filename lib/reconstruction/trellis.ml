@@ -43,11 +43,11 @@ type rates = { p_del : float; p_ins : float; p_sub : float }
 (* Estimate channel rates from the reads' alignments to the reference;
    floors keep the trellis from becoming overconfident on small
    clusters. *)
-let estimate_rates ?backend reference (reads : Dna.Strand.t array) : rates =
+let estimate_rates reference (reads : Dna.Strand.t array) : rates =
   let m = ref 0 and s = ref 0 and d = ref 0 and i = ref 0 in
   Array.iter
     (fun read ->
-      let mm, ss, dd, ii = Dna.Alignment.counts (Dna.Alignment.align ?backend reference read) in
+      let mm, ss, dd, ii = Dna.Alignment.counts (Dna.Alignment.align reference read) in
       m := !m + mm;
       s := !s + ss;
       d := !d + dd;
@@ -172,11 +172,11 @@ let refine_once ?(margin = 6.0) rates reference (reads : Dna.Strand.t array) : D
 
 (* Full reconstruction: seed with the profile consensus (which fixes the
    length), then apply soft trellis refinement passes. *)
-let reconstruct ?backend ?(iterations = 2) ?refinements ~target_len
+let reconstruct ?(iterations = 2) ?refinements ~target_len
     (reads : Dna.Strand.t array) : Dna.Strand.t =
-  let reference = ref (Nw_consensus.reconstruct ?backend ?refinements ~target_len reads) in
+  let reference = ref (Nw_consensus.reconstruct ?refinements ~target_len reads) in
   if Array.length reads > 1 then begin
-    let rates = estimate_rates ?backend !reference reads in
+    let rates = estimate_rates !reference reads in
     for _ = 1 to iterations do
       reference := refine_once rates !reference reads
     done

@@ -547,7 +547,7 @@ type access_task = {
    consensus — no boxed strand per read between sequencing and the
    decoder. Returns the decode stats alongside the bytes so partial
    (degraded) readers can map recovered ranges. *)
-let decode_task_pool ?recon_backend rng (o : Manifest.object_meta) (cores : Dna.Strand_pool.t) :
+let decode_task_pool rng (o : Manifest.object_meta) (cores : Dna.Strand_pool.t) :
     (Bytes.t * Codec.File_codec.decode_stats, error) result =
   let slices = Dnastore.Pipeline.cluster_pool_default ~domains:1 () rng cores in
   let slice_arr = Array.of_list slices in
@@ -558,14 +558,14 @@ let decode_task_pool ?recon_backend rng (o : Manifest.object_meta) (cores : Dna.
     |> List.filter_map (fun idxs ->
            if Array.length idxs = 0 then None
            else
-             Some (Dnastore.Pipeline.reconstruct_nw_pool ?backend:recon_backend ~target_len cores idxs))
+             Some (Reconstruction.Nw_consensus.reconstruct_pool ~target_len cores idxs))
   in
   match Codec.File_codec.decode ~layout:o.layout ~params:o.params ~n_units:o.n_units consensus with
   | Ok (bytes, stats) -> Ok (bytes, stats)
   | Error e -> Error (Decode_failed { key = o.key; reason = Codec.File_codec.error_message e })
 
 (* Sequence, demultiplex, cluster, reconstruct, decode one object. *)
-let run_access_task ?recon_backend t (tk : access_task) :
+let run_access_task t (tk : access_task) :
     (Bytes.t * Codec.File_codec.decode_stats, error) result =
   let o = tk.tk_obj in
   let cfg = t.manifest.Manifest.config in
@@ -588,9 +588,9 @@ let run_access_task ?recon_backend t (tk : access_task) :
     | [ (_, cores) ] -> cores
     | _ -> Dna.Strand_pool.create ()
   in
-  decode_task_pool ?recon_backend decode_rng o cores
+  decode_task_pool decode_rng o cores
 
-let get_batch ?(domains = Dna.Par.default_domains ()) ?(use_cache = true) ?recon_backend t
+let get_batch ?(domains = Dna.Par.default_domains ()) ?(use_cache = true) t
     (keys : string list) : (string * (Bytes.t, error) result) list =
   (* Resolve keys against a hashed view of the directory: cache hits
      answer immediately; misses are deduplicated (a key requested twice
@@ -679,8 +679,7 @@ let get_batch ?(domains = Dna.Par.default_domains ()) ?(use_cache = true) ?recon
   let tasks = Array.of_list (List.rev !tasks) in
   let outcome_arr =
     Dna.Par.map_array ~label:"store.get_batch" ~domains
-      (fun tk ->
-        (tk.tk_obj.Manifest.key, Result.map fst (run_access_task ?recon_backend t tk)))
+      (fun tk -> (tk.tk_obj.Manifest.key, Result.map fst (run_access_task t tk)))
       tasks
   in
   let outcomes : (string, (Bytes.t, error) result) Hashtbl.t =

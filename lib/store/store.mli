@@ -106,7 +106,7 @@ val get : ?use_cache:bool -> t -> key:string -> (Bytes.t, error) result
     / [Object_lost] when scrub has classified the object. *)
 
 val get_batch :
-  ?domains:int -> ?use_cache:bool -> ?recon_backend:Dna.Alignment.backend -> t -> string list ->
+  ?domains:int -> ?use_cache:bool -> t -> string list ->
   (string * (Bytes.t, error) result) list
 (** Serve many keys in one pass, in input order (duplicates allowed —
     a key requested twice decodes once and answers twice): cache hits
@@ -116,9 +116,7 @@ val get_batch :
     fans out over the domain pool. Each object's stochastic draws come
     from a stream derived from (store seed, key, version), so the bytes
     a key decodes to are identical across [get], any batch composition
-    and any [domains]. [recon_backend] selects the consensus alignment
-    kernel (see {!Dna.Alignment.align}); decoded bytes are identical
-    for every choice. Each object's demuxed core arena stays
+    and any [domains]. Each object's demuxed core arena stays
     pool-native through clustering and consensus (index slices and
     per-domain scratch, no boxed strand per read). *)
 

@@ -1,10 +1,8 @@
-(* The alignment kernels are a perf knob, never a semantics knob: on
-   every input, every backend and every band must return the same score
-   (equal to the edit distance) and the same script, bit for bit. These
-   tests sweep random pairs — siblings at several error rates plus
-   unrelated strands — across lengths 0..300 and every 63-bit block
-   boundary of the bit-vector default, and bands from degenerate (1) to
-   read-length, including the explicit-band fallback path. *)
+(* The bit-vector alignment kernel must return, on every input, the
+   full-matrix oracle's score (the edit distance) and script, bit for
+   bit. These tests sweep random pairs — siblings at several error rates
+   plus unrelated strands — across lengths 0..300 and every 63-bit
+   block boundary of the kernel, and whole consensus runs. *)
 
 let seeds = [ 1; 7; 42 ]
 
@@ -24,29 +22,21 @@ let random_pair rng =
   in
   (a, b)
 
-let check_exact (a, b) =
-  let f = Dna.Alignment.align ~backend:Dna.Alignment.Full a b in
-  let d = Dna.Distance.levenshtein a b in
-  Alcotest.(check int) "full score is the edit distance" d f.Dna.Alignment.score;
-  (* the script must replay to the second strand *)
-  Alcotest.(check bool) "full script replays" true
-    (Dna.Strand.equal b (Dna.Alignment.apply_script f.Dna.Alignment.script));
-  let same name (g : Dna.Alignment.t) =
-    Alcotest.(check int) (name ^ " score") f.Dna.Alignment.score g.Dna.Alignment.score;
-    Alcotest.(check bool) (name ^ " script identical") true
-      (g.Dna.Alignment.script = f.Dna.Alignment.script)
-  in
-  same "default" (Dna.Alignment.align a b);
-  same "banded(auto)" (Dna.Alignment.align ~backend:Dna.Alignment.Banded a b);
-  same "auto" (Dna.Alignment.align ~backend:Dna.Alignment.Auto a b);
-  List.iter
-    (fun w ->
-      same
-        (Printf.sprintf "banded(band=%d)" w)
-        (Dna.Alignment.align ~backend:Dna.Alignment.Banded ~band:w a b))
-    [ 1; 8; 16; max 1 (Dna.Strand.length b) ]
+let same name (f : Dna.Alignment.t) (g : Dna.Alignment.t) =
+  Alcotest.(check int) (name ^ " score") f.Dna.Alignment.score g.Dna.Alignment.score;
+  Alcotest.(check bool) (name ^ " script identical") true
+    (g.Dna.Alignment.script = f.Dna.Alignment.script)
 
-let test_banded_matches_oracle () =
+let check_exact (a, b) =
+  let f = Oracle.align a b in
+  Alcotest.(check int) "oracle score is the edit distance" (Dna.Distance.levenshtein a b)
+    f.Dna.Alignment.score;
+  (* the script must replay to the second strand *)
+  Alcotest.(check bool) "oracle script replays" true
+    (Dna.Strand.equal b (Dna.Alignment.apply_script f.Dna.Alignment.script));
+  same "default" f (Dna.Alignment.align a b)
+
+let test_matches_oracle () =
   List.iter
     (fun seed ->
       let rng = Dna.Rng.create seed in
@@ -59,8 +49,6 @@ let test_banded_matches_oracle () =
    pair of lengths on both sides of one, two and three block edges
    (plus the empty and one-base strands), with the read sharing the
    reference's bases, reversed, or unrelated. *)
-let boundary_lengths = [ 0; 1; 62; 63; 64; 125; 126; 127; 189; 190 ]
-
 let test_block_boundaries () =
   let rng = Dna.Rng.create 63 in
   List.iter
@@ -76,26 +64,8 @@ let test_block_boundaries () =
           in
           List.iter check_exact
             [ (a, shared); (a, Dna.Strand.rev shared); (a, Dna.Strand.random rng lb) ])
-        boundary_lengths)
-    boundary_lengths
-
-(* Tiny explicit bands force the fallback: the result is still exact and
-   the process-wide counter records that the band was too narrow. *)
-let test_explicit_band_fallback_counted () =
-  Dna.Alignment.reset_banded_fallbacks ();
-  let rng = Dna.Rng.create 99 in
-  let a = Dna.Strand.random rng 120 in
-  let b = sibling rng ~error_rate:0.15 a in
-  let f = Dna.Alignment.align ~backend:Dna.Alignment.Full a b in
-  Alcotest.(check bool) "pair is distant enough to overflow band 1" true
-    (f.Dna.Alignment.score > 1);
-  let g = Dna.Alignment.align ~backend:Dna.Alignment.Banded ~band:1 a b in
-  Alcotest.(check int) "fallback result exact" f.Dna.Alignment.score g.Dna.Alignment.score;
-  Alcotest.(check bool) "fallback counted" true (Dna.Alignment.banded_fallbacks () > 0);
-  (* the bit-vector default has no band to overflow *)
-  Dna.Alignment.reset_banded_fallbacks ();
-  ignore (Dna.Alignment.align ~backend:Dna.Alignment.Banded a b);
-  Alcotest.(check int) "default kernel never retries" 0 (Dna.Alignment.banded_fallbacks ())
+        Oracle.block_boundary_lengths)
+    Oracle.block_boundary_lengths
 
 (* The packed script is the same alignment as the decoded one. *)
 let test_packed_roundtrip () =
@@ -103,61 +73,11 @@ let test_packed_roundtrip () =
   for _ = 1 to 50 do
     let a, b = random_pair rng in
     let p = Dna.Alignment.align_packed a b in
-    let t = Dna.Alignment.align ~backend:Dna.Alignment.Full a b in
+    let t = Oracle.align a b in
     Alcotest.(check int) "packed score" t.Dna.Alignment.score p.Dna.Alignment.packed_score;
     Alcotest.(check bool) "packed script decodes identically" true
       (Dna.Alignment.script_of_packed p = t.Dna.Alignment.script)
   done
-
-(* POA graphs must be identical however narrow the (exact, fallback-
-   guarded) band is. *)
-let test_poa_band_invariant () =
-  List.iter
-    (fun seed ->
-      let rng = Dna.Rng.create seed in
-      List.iter
-        (fun coverage ->
-          let clean = Dna.Strand.random rng 120 in
-          let reads =
-            List.init coverage (fun _ -> sibling rng ~error_rate:0.06 clean)
-          in
-          let consensus_at band = Dna.Poa.consensus (Dna.Poa.of_reads ?band reads) in
-          let unpruned = consensus_at (Some 10_000) in
-          List.iter
-            (fun band ->
-              Alcotest.(check bool)
-                (Printf.sprintf "cov %d band %d consensus unchanged" coverage band)
-                true
-                (Dna.Strand.equal unpruned (consensus_at (Some band))))
-            [ 1; 8; Dna.Alignment.default_band ];
-          Alcotest.(check bool)
-            (Printf.sprintf "cov %d default band consensus unchanged" coverage)
-            true
-            (Dna.Strand.equal unpruned (consensus_at None)))
-        [ 3; 10; 20 ])
-    seeds
-
-(* NW consensus is backend-invariant on whole clusters. *)
-let test_consensus_backend_invariant () =
-  let rng = Dna.Rng.create 17 in
-  List.iter
-    (fun coverage ->
-      for _ = 1 to 6 do
-        let clean = Dna.Strand.random rng 120 in
-        let reads = Array.init coverage (fun _ -> sibling rng ~error_rate:0.06 clean) in
-        let full =
-          Reconstruction.Nw_consensus.reconstruct ~backend:Dna.Alignment.Full ~target_len:120
-            reads
-        in
-        let banded =
-          Reconstruction.Nw_consensus.reconstruct ~backend:Dna.Alignment.Banded ~target_len:120
-            reads
-        in
-        Alcotest.(check bool)
-          (Printf.sprintf "cov %d consensus byte-identical" coverage)
-          true (Dna.Strand.equal full banded)
-      done)
-    [ 5; 10; 20 ]
 
 (* The cluster order fed to reconstruction is a pure function of the
    cluster set: however the clustering stage happened to emit the
@@ -249,10 +169,9 @@ let algorithms =
   [
     ( "nw",
       (fun ~target_len reads ->
-        Reconstruction.Nw_consensus.reconstruct ~backend:Dna.Alignment.Banded ~target_len reads),
+        Reconstruction.Nw_consensus.reconstruct ~target_len reads),
       fun ~target_len pool idxs ->
-        Reconstruction.Nw_consensus.reconstruct_pool ~backend:Dna.Alignment.Banded ~target_len
-          pool idxs );
+        Reconstruction.Nw_consensus.reconstruct_pool ~target_len pool idxs );
     ( "bma",
       (fun ~target_len reads -> Reconstruction.Bma.reconstruct ~target_len reads),
       fun ~target_len pool idxs -> Reconstruction.Bma.reconstruct_pool ~target_len pool idxs );
@@ -262,10 +181,8 @@ let algorithms =
         Reconstruction.Bma.reconstruct_double_pool ~target_len pool idxs );
     ( "ensemble",
       (fun ~target_len reads ->
-        Reconstruction.Ensemble.reconstruct ~backend:Dna.Alignment.Banded ~target_len reads),
-      fun ~target_len pool idxs ->
-        Reconstruction.Ensemble.reconstruct_pool ~backend:Dna.Alignment.Banded ~target_len pool
-          idxs );
+        Reconstruction.Ensemble.reconstruct ~target_len reads),
+      fun ~target_len pool idxs -> Reconstruction.Ensemble.reconstruct_pool ~target_len pool idxs );
     ( "majority",
       (fun ~target_len reads -> Reconstruction.Ensemble.majority ~target_len reads),
       fun ~target_len pool idxs -> Reconstruction.Ensemble.majority_pool ~target_len pool idxs );
@@ -319,8 +236,7 @@ let test_pool_arena_isolation_across_domains () =
   let pools = Array.map (fun (reads, _) -> pool_of_reads rng reads) clusters in
   let serial =
     Array.map
-      (fun (reads, target_len) ->
-        Reconstruction.Ensemble.reconstruct ~backend:Dna.Alignment.Banded ~target_len reads)
+      (fun (reads, target_len) -> Reconstruction.Ensemble.reconstruct ~target_len reads)
       clusters
   in
   List.iter
@@ -330,8 +246,7 @@ let test_pool_arena_isolation_across_domains () =
           (fun i ->
             let _, target_len = clusters.(i) in
             let pool, idxs = pools.(i) in
-            Reconstruction.Ensemble.reconstruct_pool ~backend:Dna.Alignment.Banded ~target_len
-              pool idxs)
+            Reconstruction.Ensemble.reconstruct_pool ~target_len pool idxs)
           (Array.init (Array.length clusters) Fun.id)
       in
       Array.iteri
@@ -348,10 +263,10 @@ let test_pool_arena_isolation_across_domains () =
    errors. *)
 let strand_len = Codec.Params.strand_nt Codec.Params.default
 
-(* The default kernel's delta planes live in the domain's arena: a
-   workload of similar lengths grows them on the first pass and then
-   reuses them, and never touches the DP matrix. Runs in a fresh domain
-   so the arena starts empty. *)
+(* The kernel's delta planes live in the domain's arena: a workload of
+   similar lengths grows them on the first pass and then reuses them,
+   and no (la+1)*(lb+1) matrix is ever held. Runs in a fresh domain so
+   the arena starts empty. *)
 let test_arena_capacity_flat () =
   let rng = Dna.Rng.create 8 in
   let pairs =
@@ -388,7 +303,7 @@ let test_concurrent_domains_identical () =
   let rng = Dna.Rng.create 31 in
   let pairs = Array.init 60 (fun _ -> random_pair rng) in
   let n = Array.length pairs in
-  let oracle = Array.map (fun (a, b) -> Dna.Alignment.align ~backend:Dna.Alignment.Full a b) pairs in
+  let oracle = Array.map (fun (a, b) -> Oracle.align a b) pairs in
   let got =
     Dna.Par.map_array ~label:"test.align_domains" ~domains:2
       (fun k ->
@@ -403,9 +318,41 @@ let test_concurrent_domains_identical () =
       Alcotest.(check bool) (Printf.sprintf "task %d script" k) true (f.script = g.script))
     got
 
-(* Pipeline-shaped clusters (coverage 10, 6% errors): pool-native NW on
-   the default kernel equals the full-matrix oracle at domains 1 and 2. *)
-let test_nw_pool_default_matches_full () =
+(* Pipeline-shaped clusters (6% errors) at coverage 5, 10 and 20: every
+   read aligned against the cluster's longest read (the consensus's
+   first reference) and against the cluster's NW consensus gives the
+   oracle's script — the alignments the consensus rounds are built
+   from. *)
+let test_nw_consensus_scripts_match_oracle () =
+  let rng = Dna.Rng.create 17 in
+  List.iter
+    (fun coverage ->
+      for c = 1 to 24 do
+        let clean = Dna.Strand.random rng strand_len in
+        let reads = Array.init coverage (fun _ -> sibling rng ~error_rate:0.06 clean) in
+        let longest =
+          Array.fold_left
+            (fun l r -> if Dna.Strand.length r > Dna.Strand.length l then r else l)
+            reads.(0) reads
+        in
+        let consensus = Reconstruction.Nw_consensus.reconstruct ~target_len:strand_len reads in
+        Array.iteri
+          (fun k read ->
+            List.iter
+              (fun (what, reference) ->
+                same
+                  (Printf.sprintf "cov %d cluster %d read %d vs %s" coverage c k what)
+                  (Oracle.align reference read)
+                  (Dna.Alignment.align reference read))
+              [ ("longest", longest); ("consensus", consensus) ])
+          reads
+      done)
+    [ 5; 10; 20 ]
+
+(* Pipeline-shaped clusters (coverage 10, 6% errors): pool-native NW
+   consensus is identical at domains 1 and 2, each worker aligning in
+   its own arena. *)
+let test_nw_pool_identical_across_domains () =
   let rng = Dna.Rng.create 7 in
   let clusters =
     Array.init 24 (fun _ ->
@@ -413,43 +360,33 @@ let test_nw_pool_default_matches_full () =
         Array.init 10 (fun _ -> sibling rng ~error_rate:0.06 clean))
   in
   let pools = Array.map (pool_of_reads rng) clusters in
-  let full =
-    Array.map
+  let at domains =
+    Dna.Par.map_array ~label:"test.nw_default" ~domains
       (fun (pool, idxs) ->
-        Reconstruction.Nw_consensus.reconstruct_pool ~backend:Dna.Alignment.Full
-          ~target_len:strand_len pool idxs)
+        Reconstruction.Nw_consensus.reconstruct_pool ~target_len:strand_len pool idxs)
       pools
   in
-  List.iter
-    (fun domains ->
-      let got =
-        Dna.Par.map_array ~label:"test.nw_default" ~domains
-          (fun (pool, idxs) ->
-            Reconstruction.Nw_consensus.reconstruct_pool ~target_len:strand_len pool idxs)
-          pools
-      in
-      Array.iteri
-        (fun i c ->
-          Alcotest.(check bool)
-            (Printf.sprintf "domains %d cluster %d = full" domains i)
-            true (Dna.Strand.equal full.(i) c))
-        got)
-    [ 1; 2 ]
+  let serial = at 1 in
+  Array.iteri
+    (fun i c ->
+      Alcotest.(check bool)
+        (Printf.sprintf "cluster %d: domains 2 = domains 1" i)
+        true (Dna.Strand.equal serial.(i) c))
+    (at 2)
 
 let () =
   Alcotest.run "alignment"
     [
       ( "exactness",
         [
-          Alcotest.test_case "banded == full == levenshtein" `Quick test_banded_matches_oracle;
+          Alcotest.test_case "banded == full == levenshtein" `Quick test_matches_oracle;
           Alcotest.test_case "block boundaries == full" `Quick test_block_boundaries;
-          Alcotest.test_case "explicit band fallback" `Quick test_explicit_band_fallback_counted;
           Alcotest.test_case "packed roundtrip" `Quick test_packed_roundtrip;
         ] );
       ( "consensus",
         [
-          Alcotest.test_case "poa band invariant" `Quick test_poa_band_invariant;
-          Alcotest.test_case "nw backend invariant" `Quick test_consensus_backend_invariant;
+          Alcotest.test_case "nw consensus scripts == oracle" `Quick
+            test_nw_consensus_scripts_match_oracle;
           Alcotest.test_case "cluster sort deterministic" `Quick test_cluster_sort_deterministic;
         ] );
       ( "pool",
@@ -464,7 +401,7 @@ let () =
           Alcotest.test_case "arena capacity flat" `Quick test_arena_capacity_flat;
           Alcotest.test_case "concurrent domains identical scripts" `Quick
             test_concurrent_domains_identical;
-          Alcotest.test_case "nw pool default == full across domains" `Quick
-            test_nw_pool_default_matches_full;
+          Alcotest.test_case "nw pool identical across domains" `Quick
+            test_nw_pool_identical_across_domains;
         ] );
     ]

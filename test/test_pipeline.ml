@@ -48,8 +48,8 @@ let test_pipeline_every_stage_combination () =
             fun ~target_len pool idxs ->
               Reconstruction.Bma.reconstruct_double_pool ~target_len pool idxs );
           ( "nw",
-            fun ~target_len pool idxs -> Dnastore.Pipeline.reconstruct_nw_pool ~target_len pool idxs
-          );
+            fun ~target_len pool idxs ->
+              Reconstruction.Nw_consensus.reconstruct_pool ~target_len pool idxs );
         ])
     [ Clustering.Signature.Qgram; Clustering.Signature.Wgram ]
 
